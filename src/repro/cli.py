@@ -7,7 +7,7 @@
     python -m repro campaign --app tripledes --seed 0 --count 8 [--jobs N]
     python -m repro sweep --apps loopback:4,edge:16x8 --levels none,optimized \\
         --jobs 4 --store lab-runs --cache lab-cache \\
-        [--shard K/N] [--retries 2] [--hedge]
+        [--shard K/N] [--retries 2]
     python -m repro merge <run-id-or-prefix> --store lab-runs
     python -m repro replay lab-runs/<run>/bundles/<point>
     python -m repro serve --port 0 --jobs 4 --cache serve-cache \\
@@ -30,11 +30,10 @@ synthesis, optionally writing a replayable failure bundle. ``replay``
 re-runs a failure bundle (from ``synth``, a sweep, a campaign or a
 difftest) and exits 0 iff the recorded diagnostics reproduce
 byte-for-byte. ``sweep``, ``campaign`` and ``difftest`` all accept
-``--shard K/N`` (run one deterministic slice of the space), ``--retries``
-(exponential-backoff retry of transient failures) and ``--hedge``
-(speculative re-execution of stragglers); ``merge`` folds per-shard run
-directories back into one canonical run, byte-identical to merging an
-unsharded run.
+``--shard K/N`` (run one deterministic slice of the space) and
+``--retries`` (exponential-backoff retry of transient failures);
+``merge`` folds per-shard run directories back into one canonical run,
+byte-identical to merging an unsharded run.
 
 The C file must contain exactly one process whose first stream parameter
 is the input and second the output (the common case); richer task graphs
@@ -320,7 +319,6 @@ def cmd_campaign(args) -> int:
         resume=not args.no_resume,
         retry=_retry_arg(args),
         timeout=args.timeout,
-        hedge=args.hedge,
         batch_lanes=args.batch_lanes,
     )
     if args.json:
@@ -400,7 +398,6 @@ def cmd_sweep(args) -> int:
             timeout=args.timeout,
             shard=_shard_arg(args),
             retry=_retry_arg(args),
-            hedge=args.hedge,
             validate_lanes=args.validate_lanes,
         )
     except KeyboardInterrupt:
@@ -469,7 +466,6 @@ def cmd_difftest(args) -> int:
             timeout=args.timeout,
             shard=_shard_arg(args),
             retry=_retry_arg(args),
-            hedge=args.hedge,
         )
     except KeyboardInterrupt:
         print("difftest interrupted; rerun the same command to resume",
@@ -560,16 +556,12 @@ def cmd_serve(args) -> int:
         job_timeout=args.timeout,
         drain_timeout=args.drain_timeout,
         name=args.name or "",
-        peers=tuple(tok.strip() for tok in (args.peers or "").split(",")
-                    if tok.strip()),
     ))
     host, port = server.address
     address = f"{host}:{port}"
-    peers_note = (f", peers={len(server.config.peers)}"
-                  if server.config.peers else "")
     print(f"repro serve: listening on {address} as {server.name!r} "
           f"(workers={args.jobs}, queue={args.queue_depth}, "
-          f"per-client={args.per_client}{peers_note})", flush=True)
+          f"per-client={args.per_client})", flush=True)
     if args.address_file:
         with open(args.address_file, "w") as fh:
             fh.write(address + "\n")
@@ -754,9 +746,6 @@ def _fabric_flags(p) -> None:
     p.add_argument("--retries", type=int, default=0, metavar="N",
                    help="retry transiently-failing points up to N times "
                         "with exponential backoff")
-    p.add_argument("--hedge", action="store_true",
-                   help="speculatively re-submit straggling tail points "
-                        "(first result wins)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -979,9 +968,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--name", default=None,
                    help="stable daemon name keying the crash-recoverable "
                         "job journal (default host-port)")
-    p.add_argument("--peers", default=None, metavar="HOST:PORT,...",
-                   help="other fabric daemons: enables peer health "
-                        "checking and cross-node coalescing hints")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

@@ -282,14 +282,13 @@ def run_difftest_campaign(
     progress=None,
     shard=None,
     retry=None,
-    hedge: bool = False,
 ) -> DifftestResult:
     """Evaluate every seed in ``spec``; journaled, resumable, cached.
 
     ``shard`` (:class:`repro.lab.shard.ShardSpec`) restricts the run to a
     deterministic K/N slice of the seed range in its own run directory;
-    ``repro merge`` folds slices back together. ``retry``/``hedge``
-    configure executor fault tolerance.
+    ``repro merge`` folds slices back together. ``retry`` configures
+    executor fault tolerance.
     """
     out = sys.stderr if progress is None else progress
     store = ResultStore(store_root)
@@ -316,8 +315,7 @@ def run_difftest_campaign(
     }
     seed_files: list[str] = []
     bundle_paths: list[str] = []
-    executor = LabExecutor(jobs=jobs, timeout=timeout, retry=retry,
-                           hedge=hedge)
+    executor = LabExecutor(jobs=jobs, timeout=timeout, retry=retry)
 
     def manifest(status: str, wall: float) -> dict:
         counters["retried"] = executor.stats.retries

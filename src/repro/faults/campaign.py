@@ -681,7 +681,6 @@ def run_campaign(
     resume: bool = True,
     retry=None,
     timeout: float | None = None,
-    hedge: bool = False,
     batch_lanes: int = 1,
 ) -> CampaignResult:
     """Sweep ``count`` seeded scenarios across assertion ``levels``.
@@ -708,14 +707,14 @@ def run_campaign(
     (:class:`repro.lab.shard.ShardSpec`) restricts this invocation to one
     deterministic K/N slice of the grid, journaled to its own run
     directory; ``repro merge`` folds the slices back together.
-    ``retry``/``timeout``/``hedge`` configure executor fault tolerance.
+    ``retry``/``timeout`` configure executor fault tolerance.
 
     ``batch_lanes > 1`` switches execution to the in-process batched
     simulator: cells sharing an image (same level and translation faults)
     run as lanes of one :func:`repro.runtime.hwexec.execute_batch` call —
     one structure-of-arrays tick function advances every scenario of a
     level in lockstep — instead of fanning out across ``jobs`` workers
-    (``jobs``/``retry``/``timeout``/``hedge`` are ignored in this mode).
+    (``jobs``/``retry``/``timeout`` are ignored in this mode).
     Classification, journaling and resume semantics are unchanged and the
     matrix is bit-identical to a scalar run of the same seed.
     """
@@ -800,8 +799,7 @@ def run_campaign(
          cache_root)
         for scenario, level in pending
     ]
-    executor = LabExecutor(jobs=jobs, timeout=timeout, retry=retry,
-                           hedge=hedge)
+    executor = LabExecutor(jobs=jobs, timeout=timeout, retry=retry)
 
     def manifest(status: str) -> dict:
         return {

@@ -24,10 +24,6 @@ so it never lets one bad point — or one bad *worker* — cost the run:
   (crash/timeout codes) are **retried** with exponential backoff and
   deterministic jitter, bounded by the policy's circuit breaker; the
   final :class:`PointOutcome` journals how many attempts ran;
-* with ``hedge=True``, **stragglers are hedged**: once the queue is
-  drained and a point has run far beyond the median completion time, a
-  speculative duplicate is submitted and the first result wins (the
-  loser is ignored, and hard-killed at teardown if it never finishes);
 * **KeyboardInterrupt** propagates — resumability is the store's job
   (:mod:`repro.lab.store`), not the executor's.
 
@@ -91,8 +87,6 @@ class ExecStats:
     retries: int = 0
     timeouts: int = 0
     worker_kills: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
     pool_breaks: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -100,8 +94,6 @@ class ExecStats:
             "retries": self.retries,
             "timeouts": self.timeouts,
             "worker_kills": self.worker_kills,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
             "pool_breaks": self.pool_breaks,
         }
 
@@ -112,8 +104,6 @@ class ExecStats:
         self.retries += other.get("retries", 0)
         self.timeouts += other.get("timeouts", 0)
         self.worker_kills += other.get("worker_kills", 0)
-        self.hedges += other.get("hedges", 0)
-        self.hedge_wins += other.get("hedge_wins", 0)
         self.pool_breaks += other.get("pool_breaks", 0)
 
 
@@ -165,19 +155,19 @@ def _worker_shim(fn, item, trace_path, token):
 
 @dataclass
 class _Task:
-    """One scheduled execution of one point (retries/hedges clone it)."""
+    """One scheduled execution of one point (retries clone it)."""
 
     index: int
     item: object
     attempt: int = 1
-    hedge: bool = False
     uid: int = 0                  # unique per submission (trace filename)
     started: float | None = None  # wall-clock worker start, once observed
-    submitted: float | None = None  # fallback clock when start unobserved
 
 
 class _MapState:
-    """Book-keeping for one ``map`` call's pool path."""
+    """Book-keeping for one ``map`` call's pool path. Each point has at
+    most one task across ``ready``, ``delayed`` and ``inflight``, and
+    none once it is resolved."""
 
     def __init__(self, n_items: int) -> None:
         self.n_items = n_items
@@ -185,9 +175,6 @@ class _MapState:
         self.delayed: list[tuple[float, int, _Task]] = []  # heap
         self.inflight: dict[object, _Task] = {}
         self.resolved: dict[int, PointOutcome] = {}
-        self.index_inflight: dict[int, int] = {}
-        self.hedged: set[int] = set()
-        self.durations: list[float] = []
         self.expected_break = False
         self.seq = 0
 
@@ -206,8 +193,7 @@ class LabExecutor:
     ``jobs <= 1`` runs inline (no subprocesses, no pickling round-trip);
     ``jobs > 1`` uses a process pool. ``timeout`` bounds the wall time a
     point may *run* (measured from worker start); ``retry`` is an
-    optional :class:`repro.lab.retry.RetryPolicy`; ``hedge`` enables
-    speculative re-submission of tail stragglers.
+    optional :class:`repro.lab.retry.RetryPolicy`.
     """
 
     #: how many times a spontaneously broken pool is replaced before the
@@ -215,21 +201,15 @@ class LabExecutor:
     #: do not count against this)
     MAX_POOL_RESTARTS = 2
 
-    #: event-loop wait quantum when deadlines/hedges need polling
+    #: event-loop wait quantum when deadlines need polling
     QUANTUM = 0.05
 
     def __init__(self, jobs: int = 1, timeout: float | None = None,
-                 mp_context=None, retry=None, hedge: bool = False,
-                 hedge_factor: float = 4.0, hedge_min_wait: float = 1.0,
-                 hedge_min_samples: int = 3) -> None:
+                 mp_context=None, retry=None) -> None:
         self.jobs = max(1, int(jobs))
         self.timeout = timeout
         self.mp_context = mp_context
         self.retry = retry
-        self.hedge = hedge
-        self.hedge_factor = hedge_factor
-        self.hedge_min_wait = hedge_min_wait
-        self.hedge_min_samples = hedge_min_samples
         self.stats = ExecStats()
         self._trace_dir: str | None = None
 
@@ -278,16 +258,12 @@ class LabExecutor:
 
     # ---- pool path ------------------------------------------------------
 
-    @property
-    def _needs_trace(self) -> bool:
-        return self.timeout is not None or self.hedge
-
     def _map_pool(self, fn, items, on_result) -> list[PointOutcome]:
         state = _MapState(len(items))
         for index, item in enumerate(items):
             state.ready.append(_Task(index=index, item=item,
                                      uid=state.next_uid()))
-        if self._needs_trace:
+        if self.timeout is not None:
             self._trace_dir = tempfile.mkdtemp(prefix="labexec-")
 
         def emit(oc: PointOutcome) -> None:
@@ -316,7 +292,6 @@ class LabExecutor:
                     for fut in done:
                         broken |= self._collect(fut, state, emit)
                     broken |= self._reap_deadlines(state, emit)
-                    self._maybe_hedge(pool, fn, state)
                 elif not broken and not state.inflight:
                     if state.delayed:
                         pause = state.delayed[0][0] - time.monotonic()
@@ -354,8 +329,6 @@ class LabExecutor:
         """Submit every ready task; False when the pool refused (broken)."""
         while state.ready:
             task = state.ready.popleft()
-            if task.index in state.resolved:
-                continue
             try:
                 fut = pool.submit(_worker_shim, fn, task.item,
                                   self._trace_path(task), repr(task.item))
@@ -366,15 +339,12 @@ class LabExecutor:
                 # pool is shutting down underneath us (interpreter exit)
                 state.ready.appendleft(task)
                 return False
-            task.submitted = time.time()
             state.inflight[fut] = task
-            state.index_inflight[task.index] = \
-                state.index_inflight.get(task.index, 0) + 1
         return True
 
     def _quantum(self, state) -> float | None:
         candidates = []
-        if self.timeout is not None or self.hedge:
+        if self.timeout is not None:
             candidates.append(self.QUANTUM)
         if state.delayed:
             candidates.append(
@@ -388,11 +358,6 @@ class LabExecutor:
         task = state.inflight.pop(fut, None)
         if task is None:
             return False
-        state.index_inflight[task.index] = \
-            max(0, state.index_inflight.get(task.index, 1) - 1)
-        if task.index in state.resolved:
-            # hedge loser (or post-kill echo of a timed-out point)
-            return False
         try:
             value = fut.result(timeout=0)
         except KeyboardInterrupt:
@@ -401,21 +366,11 @@ class LabExecutor:
             # the whole pool died; _handle_break assigns blame with the
             # full picture, so just put the task back in contention
             state.inflight[fut] = task
-            state.index_inflight[task.index] += 1
             return True
         except BaseException as exc:
-            if state.index_inflight.get(task.index, 0) > 0:
-                return False  # a live twin may still succeed
             self._finalize(task, _outcome_from_exc(task.index, exc),
                            state, emit)
             return False
-        # completed workers have unlinked their pid file, so fall back to
-        # submit time — with free workers the two clocks nearly coincide
-        start = task.started if task.started is not None else task.submitted
-        if start is not None:
-            state.durations.append(max(0.0, time.time() - start))
-        if task.hedge:
-            self.stats.hedge_wins += 1
         self._finalize(task, PointOutcome(index=task.index, status="ok",
                                           value=value), state, emit)
         return False
@@ -423,13 +378,11 @@ class LabExecutor:
     def _finalize(self, task: _Task, outcome: PointOutcome, state,
                   emit) -> None:
         """Retry-or-emit decision for one finished execution."""
-        if task.index in state.resolved:
-            return
         outcome.attempts = task.attempt
         if (not outcome.ok and self.retry is not None
                 and self.retry.should_retry(outcome, task.attempt)):
             self.stats.retries += 1
-            clone = replace(task, attempt=task.attempt + 1, hedge=False,
+            clone = replace(task, attempt=task.attempt + 1,
                             started=None, uid=state.next_uid())
             delay = self.retry.delay(clone.attempt, repr(task.item))
             heapq.heappush(state.delayed,
@@ -487,58 +440,18 @@ class LabExecutor:
             if started is None or now - started < self.timeout:
                 continue
             state.inflight.pop(fut)
-            state.index_inflight[task.index] = \
-                max(0, state.index_inflight.get(task.index, 1) - 1)
             self.stats.timeouts += 1
-            already = task.index in state.resolved
             if not fut.cancel():
                 if self._kill_task_worker(task):
                     state.expected_break = True
                     broke = True
-            if not already:
-                self._finalize(task, PointOutcome(
-                    index=task.index, status="timeout",
-                    error=f"timed out after {self.timeout}s",
-                    diagnostics=_harness_diagnostics(
-                        "RPR-E002", f"timed out after {self.timeout}s"),
-                ), state, emit)
+            self._finalize(task, PointOutcome(
+                index=task.index, status="timeout",
+                error=f"timed out after {self.timeout}s",
+                diagnostics=_harness_diagnostics(
+                    "RPR-E002", f"timed out after {self.timeout}s"),
+            ), state, emit)
         return broke
-
-    # ---- straggler hedging ----------------------------------------------
-
-    def _maybe_hedge(self, pool, fn, state) -> None:
-        """Speculatively duplicate tail stragglers, first result wins."""
-        if not self.hedge or state.ready or state.delayed:
-            return
-        if len(state.durations) < self.hedge_min_samples:
-            return
-        if len(state.inflight) >= self.jobs:
-            return  # no idle workers to speculate on
-        ordered = sorted(state.durations)
-        median = ordered[len(ordered) // 2]
-        threshold = max(self.hedge_min_wait, self.hedge_factor * median)
-        now = time.time()
-        for fut, task in list(state.inflight.items()):
-            if task.hedge or task.index in state.hedged:
-                continue
-            started = self._task_started(task)
-            if started is None or now - started < threshold:
-                continue
-            twin = replace(task, hedge=True, started=None,
-                           uid=state.next_uid())
-            try:
-                tfut = pool.submit(_worker_shim, fn, twin.item,
-                                   self._trace_path(twin), repr(twin.item))
-            except (BrokenExecutor, RuntimeError):
-                return
-            twin.submitted = time.time()
-            state.inflight[tfut] = twin
-            state.index_inflight[twin.index] = \
-                state.index_inflight.get(twin.index, 0) + 1
-            state.hedged.add(task.index)
-            self.stats.hedges += 1
-            if len(state.inflight) >= self.jobs:
-                return
 
     # ---- pool breaks ----------------------------------------------------
 
@@ -551,8 +464,6 @@ class LabExecutor:
         (when spontaneous) on the oldest started task, requeue the rest."""
         candidates: list[_Task] = []
         for fut, task in list(state.inflight.items()):
-            if task.index in state.resolved:
-                continue
             if fut.done() and not fut.cancelled():
                 try:
                     value = fut.result(timeout=0)
@@ -571,14 +482,7 @@ class LabExecutor:
             fut.cancel()
             candidates.append(task)
         state.inflight.clear()
-        state.index_inflight.clear()
-        # one task per index survives (hedge twins collapse)
-        by_index: dict[int, _Task] = {}
-        for task in candidates:
-            keep = by_index.get(task.index)
-            if keep is None or (keep.hedge and not task.hedge):
-                by_index[task.index] = task
-        ordered = [by_index[i] for i in sorted(by_index)]
+        ordered = sorted(candidates, key=lambda t: t.index)
         blame: _Task | None = None
         if not state.expected_break and ordered:
             started = [t for t in ordered
@@ -594,7 +498,7 @@ class LabExecutor:
         for task in ordered:
             if task is blame:
                 continue
-            state.ready.append(replace(task, hedge=False, started=None,
+            state.ready.append(replace(task, started=None,
                                        uid=state.next_uid()))
         state.expected_break = False
 
@@ -605,8 +509,6 @@ class LabExecutor:
         state.delayed.clear()
         msg = "worker pool broke repeatedly; giving up"
         for task in leftovers:
-            if task.index in state.resolved:
-                continue
             oc = PointOutcome(
                 index=task.index, status="failed", error=msg,
                 diagnostics=_harness_diagnostics("RPR-E003", msg),

@@ -423,7 +423,6 @@ def run_sweep(
     progress=None,
     shard: ShardSpec | None = None,
     retry: RetryPolicy | None = None,
-    hedge: bool = False,
     validate_lanes: int = 0,
 ) -> SweepResult:
     """Evaluate ``spec``, journaling every point; resumable and cached.
@@ -434,7 +433,7 @@ def run_sweep(
     with ``resume=True`` picks up the missing points. ``shard`` restricts
     the run to one deterministic K/N slice of the space (own run
     directory; fold slices back with :func:`repro.lab.shard.merge_runs`);
-    ``retry``/``hedge`` configure the executor's fault tolerance.
+    ``retry`` configures the executor's fault tolerance.
 
     ``validate_lanes > 0`` makes every point also execute its image with
     that many batched replication lanes and check them bit-for-bit
@@ -477,8 +476,7 @@ def run_sweep(
         "lease_takeovers": 0,
     }
     bundle_paths: list[str] = []
-    executor = LabExecutor(jobs=jobs, timeout=timeout, retry=retry,
-                           hedge=hedge)
+    executor = LabExecutor(jobs=jobs, timeout=timeout, retry=retry)
 
     def manifest(status: str, wall: float) -> dict:
         counters["retried"] = executor.stats.retries

@@ -19,11 +19,11 @@ server (which pulls in the whole synthesis stack) is imported lazily by
 
 from __future__ import annotations
 
+from repro.lab.shard import canonical_record
 from repro.serve.client import ServeClient, SubmitReply, parse_address
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     campaign_summary,
-    canonical_record,
     difftest_summary,
     sweep_summary,
 )

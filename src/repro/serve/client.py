@@ -247,22 +247,12 @@ class ServeClient:
     # -- verbs ----------------------------------------------------------------
 
     def submit(self, kind: str, params: dict,
-               timeout: float | None = None,
-               relay: bool = False) -> SubmitReply:
-        """Submit one job and block until its terminal event. ``relay``
-        marks a peer-forwarded job (never forwarded again)."""
+               timeout: float | None = None) -> SubmitReply:
+        """Submit one job and block until its terminal event."""
         return self._roundtrip(
             protocol.submit_request(kind, params, client=self.client_id,
-                                    timeout=timeout, relay=relay),
+                                    timeout=timeout),
             timeout=timeout)
-
-    def lookup(self, fingerprint: str,
-               timeout: float | None = None) -> dict:
-        """The fingerprint-keyed peer hint: is this job in flight or
-        already known on that daemon?"""
-        return self._roundtrip(
-            protocol.lookup_request(fingerprint, client=self.client_id),
-            timeout=timeout).terminal
 
     def stats(self, timeout: float | None = None) -> dict:
         return self._roundtrip({"op": "stats"}, timeout=timeout).terminal

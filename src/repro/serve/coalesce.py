@@ -8,18 +8,14 @@ arrive while the leader is still running become **followers** and simply
 wait on the leader's :class:`Flight`. When the leader finishes, every
 follower is released with the same value (or the same failure).
 
-This is one of three dedup layers, ordered by scope:
+This is one of two dedup layers, ordered by scope:
 
 * **in-node** — this coalescer: identical jobs inside one daemon share
   one flight (zero extra worker slots);
-* **cross-node** — the fabric's ``lookup`` verb + relay-follow
-  (:mod:`repro.serve.server`): a daemon about to lead first asks its
-  peers whether the fingerprint is already flying elsewhere;
 * **cross-process** — the cache's fill lease
-  (:meth:`repro.lab.cache.SynthesisCache.acquire_fill`): the backstop
-  for writers that share only the cache directory (daemons that cannot
-  see each other, sweep workers, plain CLI runs). Whatever slips past
-  the first two layers still costs exactly one synthesis fill.
+  (:meth:`repro.lab.cache.SynthesisCache.acquire_fill`): writers that
+  share only the cache directory (several daemons, sweep workers, plain
+  CLI runs) still cost exactly one synthesis fill per key.
 
 Each layer composes with the on-disk cache rather than replacing it: the
 cache dedupes *across time* (a result computed yesterday), the
@@ -167,8 +163,8 @@ class Coalescer:
                 del self._flights[flight.key]
 
     def flight_info(self, key: str) -> tuple[bool, int]:
-        """The ``lookup`` verb's answer for ``key``: is a flight live
-        right now, and how many followers ride it (leader excluded)."""
+        """Is a flight for ``key`` live right now, and how many followers
+        ride it (leader excluded)? The admission rider check asks."""
         with self._lock:
             flight = self._flights.get(key)
             if flight is None or flight.done:

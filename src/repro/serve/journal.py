@@ -22,10 +22,6 @@ mid-append leaves a half line; the next epoch heals it and counts it
 corrupt, never fatal), the same tooling (``repro runs`` can inspect a
 journal like any run). Records use ``point_id`` = ``e<epoch>:<job_id>``
 so ids never collide across restarts of the same daemon name.
-
-The journal also feeds cross-node coalescing: :meth:`JobJournal.known`
-answers "has this daemon *ever* completed this fingerprint ok", which the
-``lookup`` protocol verb reports to peers.
 """
 
 from __future__ import annotations
@@ -71,7 +67,6 @@ class JobJournal:
         self._done = 0
         # replay previous epochs: accepted-without-done = orphaned
         pending: dict[str, dict] = {}
-        known: set[str] = set()
         epochs = 0
         for rec in self.run.records():
             phase = rec.get("phase")
@@ -81,8 +76,6 @@ class JobJournal:
                 pending[rec.get("point_id", "")] = rec
             elif phase == "done":
                 pending.pop(rec.get("point_id", ""), None)
-                if rec.get("status") == "ok" and rec.get("fingerprint"):
-                    known.add(rec["fingerprint"])
         self.epoch = epochs + 1
         #: jobs a previous life accepted and never finished
         self.orphans: list[dict] = [
@@ -92,7 +85,6 @@ class JobJournal:
              "client": rec.get("client")}
             for _, rec in sorted(pending.items())
         ]
-        self._known = known
         self._torn = self.run.stats.corrupt
         self.run.append({
             "journal_schema": JOURNAL_SCHEMA,
@@ -127,8 +119,6 @@ class JobJournal:
     def done(self, job_id: str, fingerprint: str, status: str) -> None:
         with self._lock:
             self._done += 1
-            if status == "ok":
-                self._known.add(fingerprint)
             self.run.append({
                 "journal_schema": JOURNAL_SCHEMA,
                 "phase": "done",
@@ -141,11 +131,6 @@ class JobJournal:
 
     # -- queries --------------------------------------------------------------
 
-    def known(self, fingerprint: str) -> bool:
-        """Has this daemon (in any life) completed ``fingerprint`` ok?"""
-        with self._lock:
-            return fingerprint in self._known
-
     def snapshot(self) -> dict:
         """The ``journal`` section of the daemon's ``/stats``."""
         with self._lock:
@@ -155,7 +140,6 @@ class JobJournal:
                 "epoch": self.epoch,
                 "accepted": self._accepted,
                 "done": self._done,
-                "known_fingerprints": len(self._known),
                 "torn_lines_healed": self._torn,
                 "orphaned": len(self.orphans),
                 "orphans": self.orphans[:MAX_ORPHANS_LISTED],

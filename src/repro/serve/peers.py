@@ -1,12 +1,12 @@
-"""Peer registry and health checking for the multi-node serve fabric.
+"""Peer registry for the multi-node serve fabric.
 
-A *fabric* is N independent ``repro serve`` daemons that know each
-other's addresses. Nothing here elects a coordinator or replicates
-state — every daemon (and every fabric router) keeps its own
-:class:`PeerRegistry` and forms its own opinion of who is alive, from
-evidence it gathered itself: ping probes and the outcomes of real
-requests. That keeps the failure model honest — there is no membership
-service to be wrong about a partition.
+A *fabric* is N independent ``repro serve`` daemons behind one fabric
+router (:mod:`repro.serve.fabric`); the daemons never talk to each
+other. Nothing here elects a coordinator or replicates state — the
+router keeps its own :class:`PeerRegistry` and forms its own opinion of
+who is alive, from evidence it gathered itself: ping probes and the
+outcomes of real requests. That keeps the failure model honest — there
+is no membership service to be wrong about a partition.
 
 Health is a three-state machine per peer, driven by *consecutive*
 failures so one dropped packet never reroutes a campaign:
@@ -16,18 +16,14 @@ failures so one dropped packet never reroutes a campaign:
              client's bounded reconnect retries absorb blips), but on
              notice.
 ``down``     ``down_after`` consecutive failures; **not** routable.
-             Recovery probing is deterministic: a down peer is pinged on
-             every ``probe_every``-th health sweep rather than every
-             sweep, so a dead peer costs O(1/probe_every) of the
-             checker's budget but a restarted one is noticed within
-             ``probe_every`` sweeps. One successful contact returns it
-             straight to ``up``.
+             :meth:`PeerRegistry.sweep` still pings it, and one
+             successful contact returns it straight to ``up``.
 
-The registry is fed from two directions: the optional
-:class:`HealthChecker` thread (periodic pings) and the fabric router's
-:meth:`PeerRegistry.record_success` / :meth:`PeerRegistry.record_failure`
-calls on real traffic — a submit that dies mid-stream is better evidence
-than any ping.
+The registry is fed from two directions: :meth:`PeerRegistry.sweep`
+(one ping per peer, run by ``repro fabric status``) and the fabric
+router's :meth:`PeerRegistry.record_success` /
+:meth:`PeerRegistry.record_failure` calls on real traffic — a submit
+that dies mid-stream is better evidence than any ping.
 """
 
 from __future__ import annotations
@@ -37,12 +33,10 @@ from dataclasses import dataclass
 
 from repro.errors import ServeError
 
-__all__ = ["HealthChecker", "PeerRegistry", "PeerState"]
+__all__ = ["PeerRegistry", "PeerState"]
 
 #: consecutive failures that turn suspect into down
 DOWN_AFTER = 3
-#: a down peer is probed on every Nth health sweep
-PROBE_EVERY = 4
 #: health-probe socket budget (seconds) — pings must fail fast
 PING_TIMEOUT_S = 2.0
 
@@ -66,8 +60,6 @@ class PeerState:
     failures: int = 0
     draining: bool = False
     last_error: str | None = None
-    #: health sweeps seen while down (drives deterministic recovery probes)
-    down_sweeps: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -88,14 +80,12 @@ class PeerStats:
     pings: int = 0
     ping_failures: int = 0
     transitions: int = 0
-    recovery_probes: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "pings": self.pings,
             "ping_failures": self.ping_failures,
             "transitions": self.transitions,
-            "recovery_probes": self.recovery_probes,
         }
 
 
@@ -108,17 +98,12 @@ class PeerRegistry:
     """
 
     def __init__(self, addresses, down_after: int = DOWN_AFTER,
-                 probe_every: int = PROBE_EVERY,
                  client_factory=None) -> None:
         cleaned = sorted({str(a).strip() for a in addresses if str(a).strip()})
         if down_after < 1:
             raise ServeError(f"down_after must be >= 1, got {down_after}",
                              code="RPR-V005")
-        if probe_every < 1:
-            raise ServeError(f"probe_every must be >= 1, got {probe_every}",
-                             code="RPR-V005")
         self.down_after = down_after
-        self.probe_every = probe_every
         self.client_factory = client_factory or _default_client_factory
         self._peers = {a: PeerState(a) for a in cleaned}
         self._lock = threading.Lock()
@@ -180,7 +165,6 @@ class PeerRegistry:
             peer.successes += 1
             peer.draining = bool(draining)
             peer.last_error = None
-            peer.down_sweeps = 0
 
     def record_failure(self, address: str,
                        error: BaseException | str | None = None) -> None:
@@ -196,9 +180,6 @@ class PeerRegistry:
             if new != peer.status:
                 self.stats.transitions += 1
                 peer.status = new
-            if peer.status == "down" and peer.consecutive_failures == \
-                    self.down_after:
-                peer.down_sweeps = 0
 
     # -- probing --------------------------------------------------------------
 
@@ -215,20 +196,9 @@ class PeerRegistry:
         return True
 
     def sweep(self) -> dict[str, bool]:
-        """One health pass: ping every up/suspect peer; ping a down peer
-        only on its ``probe_every``-th sweep (deterministic recovery
-        probing). Returns {address: alive} for the peers probed."""
-        due = []
-        with self._lock:
-            for address, peer in sorted(self._peers.items()):
-                if peer.status != "down":
-                    due.append(address)
-                    continue
-                peer.down_sweeps += 1
-                if peer.down_sweeps % self.probe_every == 0:
-                    self.stats.recovery_probes += 1
-                    due.append(address)
-        return {address: self.check(address) for address in due}
+        """One health pass: ping every peer, down ones included.
+        Returns {address: alive}."""
+        return {address: self.check(address) for address in self.addresses}
 
     # -- observability --------------------------------------------------------
 
@@ -240,42 +210,6 @@ class PeerRegistry:
                 "routable": sorted(a for a, p in self._peers.items()
                                    if p.status != "down"),
                 "down_after": self.down_after,
-                "probe_every": self.probe_every,
                 **self.stats.as_dict(),
             }
 
-
-class HealthChecker:
-    """A daemon thread that runs :meth:`PeerRegistry.sweep` forever.
-
-    Deliberately dumb: no backoff, no jitter — the registry's
-    probe_every throttling already bounds the cost of dead peers, and a
-    fixed cadence keeps failover timing predictable in tests.
-    """
-
-    def __init__(self, registry: PeerRegistry,
-                 interval_s: float = 1.0) -> None:
-        self.registry = registry
-        self.interval_s = interval_s
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-serve-health", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.interval_s + PING_TIMEOUT_S)
-            self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.registry.sweep()
-            except Exception:  # noqa: BLE001 - health must never die
-                pass

@@ -11,19 +11,10 @@ handler thread per request) and makes every client — shell scripts with
 Requests (``op`` field)::
 
     {"op": "submit", "job": {"kind": "synth", "params": {...}},
-     "client": "bench-3", "timeout": 120.0, "relay": false}
-    {"op": "lookup", "fingerprint": "..."}
+     "client": "bench-3", "timeout": 120.0}
     {"op": "stats"}
     {"op": "ping"}
     {"op": "shutdown"}
-
-``relay`` marks a submit a *peer daemon* forwarded on behalf of its own
-client (cross-node coalescing); a relayed job is never forwarded again,
-so hints cannot loop between peers. ``lookup`` is the fingerprint-keyed
-peer-hint verb: it answers whether this daemon has the job in flight
-right now (``inflight`` + follower count) or already completed/cached
-(``known``) — a peer daemon consults it before leading a duplicate
-flight.
 
 Events (``event`` field)::
 
@@ -49,13 +40,15 @@ import json
 
 from repro.diagnostics.render import diagnostic_records
 from repro.errors import ServeError
+# re-exported: result payloads are compared under the shard merge's
+# volatile-field list, the only such list
+from repro.lab.shard import canonical_record
 
 __all__ = [
     "PROTOCOL_VERSION",
     "JOB_KINDS",
     "OPS",
     "TERMINAL_EVENTS",
-    "VOLATILE_RECORD_KEYS",
     "accepted_event",
     "campaign_summary",
     "canonical_record",
@@ -63,8 +56,6 @@ __all__ = [
     "difftest_summary",
     "encode",
     "error_event",
-    "lookup_event",
-    "lookup_request",
     "parse_request",
     "rejected_event",
     "result_event",
@@ -78,18 +69,11 @@ PROTOCOL_VERSION = 1
 #: admission/timeout tests (it holds a worker slot and does nothing else)
 JOB_KINDS = ("synth", "sweep", "campaign", "difftest", "sleep")
 
-OPS = ("submit", "lookup", "stats", "ping", "shutdown")
+OPS = ("submit", "stats", "ping", "shutdown")
 
 #: events that end a request's stream (the server closes after one)
 TERMINAL_EVENTS = ("result", "rejected", "error", "stats", "pong",
-                   "shutdown", "lookup")
-
-#: record fields that legitimately differ between a fresh synthesis, a
-#: cache hit and a coalesced reply for the *same* design point — strip
-#: them before comparing payloads for identity
-VOLATILE_RECORD_KEYS = ("elapsed_s", "cache_hit", "cache_stats", "attempts",
-                        "resyntheses", "proc_hits", "proc_misses",
-                        "partial_rebuild")
+                   "shutdown")
 
 
 # ---- framing ----------------------------------------------------------------
@@ -124,24 +108,13 @@ def decode_line(line: str | bytes) -> dict:
 
 
 def submit_request(kind: str, params: dict, client: str | None = None,
-                   timeout: float | None = None,
-                   relay: bool = False) -> dict:
+                   timeout: float | None = None) -> dict:
     """Build a submit request (the client module's one constructor)."""
     req = {"op": "submit", "job": {"kind": kind, "params": dict(params)}}
     if client is not None:
         req["client"] = client
     if timeout is not None:
         req["timeout"] = float(timeout)
-    if relay:
-        req["relay"] = True
-    return req
-
-
-def lookup_request(fingerprint: str, client: str | None = None) -> dict:
-    """Build a fingerprint-keyed peer-hint lookup."""
-    req = {"op": "lookup", "fingerprint": str(fingerprint)}
-    if client is not None:
-        req["client"] = client
     return req
 
 
@@ -155,8 +128,7 @@ def parse_request(msg: dict) -> dict:
     if op not in OPS:
         raise ServeError(
             f"unknown op {op!r}; have {', '.join(OPS)}", code="RPR-V001")
-    out = {"op": op, "client": str(msg.get("client") or "anon"),
-           "relay": bool(msg.get("relay"))}
+    out = {"op": op, "client": str(msg.get("client") or "anon")}
     timeout = msg.get("timeout")
     if timeout is not None:
         try:
@@ -182,12 +154,6 @@ def parse_request(msg: dict) -> dict:
             raise ServeError("job params must be an object",
                              code="RPR-V001")
         out["job"] = {"kind": kind, "params": params}
-    if op == "lookup":
-        fingerprint = msg.get("fingerprint")
-        if not fingerprint or not isinstance(fingerprint, str):
-            raise ServeError("lookup needs a fingerprint string",
-                             code="RPR-V001")
-        out["fingerprint"] = fingerprint
     return out
 
 
@@ -228,16 +194,6 @@ def result_event(
     return ev
 
 
-def lookup_event(fingerprint: str, inflight: bool, waiters: int,
-                 known: bool) -> dict:
-    """The peer-hint answer: is ``fingerprint`` in flight here right now
-    (``inflight``, with the follower count), or already completed /
-    cached on this node (``known``)?"""
-    return _event("lookup", fingerprint=fingerprint,
-                  inflight=bool(inflight), waiters=int(waiters),
-                  known=bool(known))
-
-
 def rejected_event(code: str, message: str, **extra) -> dict:
     return _event("rejected", code=code, message=message, **extra)
 
@@ -252,13 +208,6 @@ def error_event(code: str, message: str, **extra) -> dict:
 # looks like as JSON": the daemon embeds them in result events and the CLI
 # prints them for `repro sweep --json` / `repro campaign --json`, so the
 # two surfaces can never drift apart.
-
-
-def canonical_record(record: dict) -> dict:
-    """A result record with volatile fields stripped (timings, cache
-    bookkeeping) — what byte-identity assertions compare."""
-    return {k: v for k, v in record.items()
-            if k not in VOLATILE_RECORD_KEYS}
 
 
 def sweep_summary(result) -> dict:

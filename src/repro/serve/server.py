@@ -26,18 +26,13 @@ still-open flight with a transient RPR-V004 failure (so every waiting
 follower receives a terminal event), then tears the pool down and reports
 whether the drain was clean.
 
-Two fabric-facing layers ride on top (see :mod:`repro.serve.fabric`):
-
-* every accepted job is logged to a crash-recoverable **write-ahead
-  journal** (:mod:`repro.serve.journal`) before execution, so a SIGKILL
-  between acceptance and completion surfaces as an *orphaned job* in the
-  restarted daemon's ``/stats`` instead of vanishing;
-* with ``--peers`` configured, a :class:`~repro.serve.peers.PeerRegistry`
-  plus health checker tracks the other daemons, the ``lookup`` verb
-  answers their coalescing hints, and a would-be leader first asks the
-  fabric whether a peer is already flying the same fingerprint — if so
-  it relays the submit and follows remotely rather than duplicating the
-  computation.
+Every accepted job is logged to a crash-recoverable **write-ahead
+journal** (:mod:`repro.serve.journal`) before execution, so a SIGKILL
+between acceptance and completion surfaces as an *orphaned job* in the
+restarted daemon's ``/stats`` instead of vanishing. A daemon knows
+nothing about its peers: the fabric router (:mod:`repro.serve.fabric`)
+does the routing, and daemons sharing one ``--cache`` directory perform
+one synthesis per key through the cache's fill leases.
 """
 
 from __future__ import annotations
@@ -61,7 +56,6 @@ from repro.serve.admission import AdmissionController
 from repro.serve.coalesce import Coalescer
 from repro.serve.jobs import JobContext, job_fingerprint, parse_job, run_job
 from repro.serve.journal import JobJournal
-from repro.serve.peers import HealthChecker, PeerRegistry
 from repro.simc.codecache import memo_stats
 
 __all__ = ["JobResult", "ReproServer", "ServeConfig"]
@@ -91,11 +85,6 @@ class ServeConfig:
     #: stable daemon name — keys the write-ahead job journal across
     #: restarts; defaults to host-port once the listener is bound
     name: str = ""
-    #: peer daemon addresses ("host:port") forming the serve fabric;
-    #: enables the health checker and cross-node coalescing hints
-    peers: tuple[str, ...] = ()
-    #: seconds between peer health sweeps
-    health_interval: float = 1.0
 
 
 @dataclass
@@ -173,20 +162,9 @@ class ReproServer:
         self._listener.settimeout(0.2)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
 
-        #: stable identity for the write-ahead journal (and peer logs)
+        #: stable identity for the write-ahead journal
         self.name = cfg.name or f"{self.address[0]}-{self.address[1]}"
         self.journal = JobJournal(cfg.store_root, self.name)
-        #: fabric layer: peer health + cross-node coalescing hints
-        self.registry: PeerRegistry | None = None
-        self.health: HealthChecker | None = None
-        if cfg.peers:
-            self.registry = PeerRegistry(cfg.peers)
-            self.health = HealthChecker(self.registry,
-                                        interval_s=cfg.health_interval)
-        self._fabric = {
-            "lookups_answered": 0, "peer_lookups": 0,
-            "remote_followed": 0, "remote_fallback": 0, "relayed_in": 0,
-        }
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -198,8 +176,6 @@ class ReproServer:
     def serve_forever(self) -> dict:
         """Accept until :meth:`request_shutdown`, then drain; returns the
         shutdown report (``{"drained": bool, ...}``)."""
-        if self.health is not None:
-            self.health.start()
         try:
             while not self._stop.is_set():
                 try:
@@ -223,8 +199,6 @@ class ReproServer:
     def _drain(self) -> dict:
         """Stop accepting, let in-flight jobs finish, tear down."""
         self.admission.start_drain()
-        if self.health is not None:
-            self.health.stop()
         try:
             self._listener.close()
         except OSError:
@@ -299,14 +273,6 @@ class ReproServer:
                                 "draining": self.admission.draining})
         elif op == "stats":
             self._send(stream, self.stats())
-        elif op == "lookup":
-            fingerprint = request["fingerprint"]
-            inflight, waiters = self.coalescer.flight_info(fingerprint)
-            with self._lock:
-                self._fabric["lookups_answered"] += 1
-            self._send(stream, protocol.lookup_event(
-                fingerprint, inflight=inflight, waiters=waiters,
-                known=self.journal.known(fingerprint)))
         elif op == "shutdown":
             self._send(stream, {"schema": protocol.PROTOCOL_VERSION,
                                 "event": "shutdown"})
@@ -328,10 +294,6 @@ class ReproServer:
             # consumes any admission budget or worker time
             self._send(stream, protocol.error_event(exc.code, exc.message))
             return
-
-        if request.get("relay"):
-            with self._lock:
-                self._fabric["relayed_in"] += 1
 
         try:
             # a request that can ride an existing flight is a "rider":
@@ -369,9 +331,7 @@ class ReproServer:
             t0 = time.monotonic()
             if is_leader:
                 result = self._lead(spec, fingerprint, flight, timeout,
-                                    job_id=job_id,
-                                    relay=bool(request.get("relay")),
-                                    client=client)
+                                    job_id=job_id, client=client)
             else:
                 result = self._follow(fingerprint, flight, timeout, t0)
             with self._lock:
@@ -393,34 +353,21 @@ class ReproServer:
 
     def _lead(self, spec, fingerprint: str, flight,
               timeout: float | None, job_id: str = "j0",
-              relay: bool = False, client: str = "anon") -> JobResult:
-        """Run the job (locally or by following a peer's in-flight
-        execution), publish its outcome to the flight.
+              client: str = "anon") -> JobResult:
+        """Run the job on the worker pool, publish its outcome to the
+        flight.
 
         The accepted record hits the write-ahead journal *before* any
         execution: if the daemon dies past this point, the next epoch
         reports the job as orphaned instead of forgetting it.
         """
         self.journal.accepted(job_id, fingerprint, spec.kind, client)
-        result = self._lead_inner(spec, fingerprint, flight, timeout,
-                                  relay)
+        result = self._lead_inner(spec, fingerprint, flight, timeout)
         self.journal.done(job_id, fingerprint, result.status)
         return result
 
     def _lead_inner(self, spec, fingerprint: str, flight,
-                    timeout: float | None, relay: bool) -> JobResult:
-        # cross-node coalescing: before spending a local worker, ask the
-        # fabric whether a peer is already flying this fingerprint — if
-        # so, follow remotely (relay) instead of duplicating the work.
-        # The leader keeps its global slot while waiting, exactly as a
-        # local execution would.
-        if self.registry is not None and not relay:
-            result = self._remote_follow(spec, fingerprint, timeout)
-            if result is not None:
-                self.admission.release_global()
-                self.coalescer.complete(flight, result)
-                return result
-
+                    timeout: float | None) -> JobResult:
         with self._lock:
             self._active_jobs += 1
         t0 = time.monotonic()
@@ -460,50 +407,6 @@ class ReproServer:
             return result
         self.coalescer.complete(flight, result)
         return result
-
-    def _remote_follow(self, spec, fingerprint: str,
-                       timeout: float | None) -> JobResult | None:
-        """Ask healthy peers whether ``fingerprint`` is in flight there;
-        if one says yes, relay the submit and ride its execution. None
-        means "no peer hint (or the follow failed) — run it locally"."""
-        from repro.serve.client import ServeClient
-
-        found_hint = False
-        for peer in self.registry.routable():
-            with self._lock:
-                self._fabric["peer_lookups"] += 1
-            peer_client = ServeClient(peer, client_id=f"peer:{self.name}",
-                                      connect_attempts=1)
-            try:
-                hint = peer_client.lookup(fingerprint, timeout=2.0)
-            except (ReproError, OSError) as exc:
-                self.registry.record_failure(peer, exc)
-                continue
-            self.registry.record_success(peer)
-            if not hint.get("inflight"):
-                continue
-            found_hint = True
-            try:
-                reply = peer_client.submit(spec.kind, dict(spec.params),
-                                           timeout=timeout, relay=True)
-            except (ReproError, OSError) as exc:
-                self.registry.record_failure(peer, exc)
-                break  # the flight we meant to ride died; run locally
-            terminal = reply.terminal
-            if terminal.get("event") != "result":
-                break  # rejected/error over there; run locally
-            with self._lock:
-                self._fabric["remote_followed"] += 1
-            return JobResult(
-                status=terminal.get("status", "failed"),
-                record=terminal.get("record"),
-                diagnostics=list(terminal.get("diagnostics", ())),
-                transient=bool(terminal.get("transient")),
-                elapsed_s=float(terminal.get("elapsed_s", 0.0)))
-        if found_hint:
-            with self._lock:
-                self._fabric["remote_fallback"] += 1
-        return None
 
     def _follow(self, fingerprint: str, flight, timeout: float | None,
                 t0: float) -> JobResult:
@@ -580,7 +483,6 @@ class ReproServer:
         cfg = self.config
         with self._lock:
             exec_block = self.exec_stats.as_dict()
-            fabric_block = dict(self._fabric)
         return {
             "schema": protocol.PROTOCOL_VERSION,
             "event": "stats",
@@ -592,9 +494,6 @@ class ReproServer:
             "coalesce": self.coalescer.snapshot(),
             "admission": self.admission.snapshot(),
             "journal": self.journal.snapshot(),
-            "fabric": fabric_block,
-            "peers": (self.registry.snapshot()
-                      if self.registry is not None else None),
             "cache": self.cache.stats.as_dict(),
             "incremental": self.incremental_counters(),
             "executor": exec_block,
@@ -609,6 +508,5 @@ class ReproServer:
                 "job_timeout": cfg.job_timeout,
                 "drain_timeout": cfg.drain_timeout,
                 "name": self.name,
-                "peers": list(cfg.peers),
             },
         }

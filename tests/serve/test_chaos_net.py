@@ -66,7 +66,7 @@ def test_refused_connect_is_retried_transparently(tmp_path, monkeypatch):
 
 
 def test_single_attempt_client_never_retries(tmp_path, monkeypatch):
-    """connect_attempts=1 means fail fast — the peer health checker and
+    """connect_attempts=1 means fail fast — the peer registry's pings and
     fabric router want the raw verdict, not a masked one."""
     srv, thread = _spawn(tmp_path)
     try:

@@ -1,9 +1,8 @@
 """The fabric router: deterministic shard assignment, failover
-re-routing across surviving peers, merge byte-identity, and the
-cross-node coalescing hints (lookup + remote follow)."""
+re-routing across surviving peers, merge byte-identity, and one
+synthesis per key across daemons that share only a cache directory."""
 
 import threading
-import time
 
 import pytest
 
@@ -11,9 +10,9 @@ from repro.errors import ServeError
 from repro.faults.campaign import run_campaign
 from repro.lab.retry import RetryPolicy
 from repro.lab.shard import merge_runs
+from repro.serve import canonical_record
 from repro.serve.client import ServeClient, SubmitReply
 from repro.serve.fabric import FabricRouter
-from repro.serve.jobs import JobSpec, job_fingerprint
 from repro.serve.peers import PeerRegistry
 from repro.serve.server import ReproServer, ServeConfig
 
@@ -64,7 +63,7 @@ class ScriptedMesh:
         mesh = self
 
         class _Client:
-            def submit(self, kind, params, timeout=None, relay=False):
+            def submit(self, kind, params, timeout=None):
                 mesh.submits.append((address, kind, dict(params)))
                 script = mesh.scripts.get(address)
                 outcome = script.pop(0) if script else ok_reply()
@@ -247,11 +246,11 @@ CAMPAIGN = {"app": "loopback", "seed": 7, "count": 4,
             "levels": ["none", "optimized"]}
 
 
-def _spawn(tmp_path, name, peers=()):
+def _spawn(tmp_path, name, cache="cache"):
     srv = ReproServer(ServeConfig(
-        max_inflight=2, cache_root=str(tmp_path / "cache"),
+        max_inflight=2, cache_root=str(tmp_path / cache),
         store_root=str(tmp_path / "store"), drain_timeout=10.0,
-        name=name, peers=tuple(peers), health_interval=0.2))
+        name=name))
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     return srv, thread
@@ -305,96 +304,50 @@ def test_fabric_survives_a_draining_peer_and_merges_identically(tmp_path):
         _stop(servers)
 
 
-# ---- cross-node coalescing hints --------------------------------------------
+# ---- cross-daemon dedup: fill leases over a shared cache --------------------
 
 
-def _fingerprint(params):
-    return job_fingerprint(JobSpec(kind="sleep", params=params))
+SYNTH = {"app": {"kind": "pipeline", "params": {"stages": 6}},
+         "level": "optimized"}
 
 
-def _wait(predicate, timeout=10.0, what="condition"):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.02)
-    pytest.fail(f"timed out waiting for {what}")
-
-
-def test_lookup_reports_inflight_then_known(tmp_path):
-    srv, thread = _spawn(tmp_path, "solo")
+def test_daemons_sharing_a_cache_fill_each_key_once(tmp_path):
+    """Two peerless daemons over one cache directory, racing on the same
+    synth job, write exactly what one daemon alone writes: the cache's
+    fill leases (or a warm hit) make the second execution free."""
+    solo, solo_thread = _spawn(tmp_path, "solo", cache="solo-cache")
     try:
-        params = {"seconds": 0.8, "token": "lookup-probe"}
-        fp = _fingerprint(params)
-        client = ServeClient(srv.address, client_id="looker")
-
-        # before: neither in flight nor known
-        hint = client.lookup(fp)
-        assert hint["event"] == "lookup"
-        assert hint["inflight"] is False and hint["known"] is False
-
-        leader = threading.Thread(
-            target=lambda: ServeClient(srv.address, client_id="lead")
-            .submit("sleep", params, timeout=30))
-        leader.start()
-        _wait(lambda: srv.coalescer.flight_info(fp)[0], what="flight")
-        hint = client.lookup(fp)
-        assert hint["inflight"] is True and hint["known"] is False
-
-        leader.join(timeout=15)
-        hint = client.lookup(fp)
-        assert hint["inflight"] is False
-        assert hint["known"] is True  # the journal remembers completions
-        assert srv.stats()["fabric"]["lookups_answered"] >= 3
+        alone = ServeClient(solo.address, client_id="alone").submit(
+            "synth", SYNTH, timeout=120)
+        assert alone.ok
+        alone_cache = solo.stats()["cache"]
     finally:
-        _stop([(srv, thread)])
+        _stop([(solo, solo_thread)])
 
-
-def test_remote_follow_rides_a_peer_flight(tmp_path):
-    """Cross-node coalescing: node B leads a job; node A (peered with B)
-    receives the identical submit and follows B's flight over the wire
-    instead of executing a duplicate."""
-    node_b, thread_b = _spawn(tmp_path, "node-b")
-    addr_b = f"{node_b.address[0]}:{node_b.address[1]}"
-    node_a, thread_a = _spawn(tmp_path, "node-a", peers=[addr_b])
+    servers = [_spawn(tmp_path, f"shared{i}") for i in range(2)]
     try:
-        params = {"seconds": 1.2, "token": "xnode"}
-        fp = _fingerprint(params)
-        replies = {}
+        barrier = threading.Barrier(len(servers))
+        replies = [None] * len(servers)
 
-        def lead():
-            replies["b"] = ServeClient(node_b.address, client_id="cb") \
-                .submit("sleep", params, timeout=30)
+        def go(i, srv):
+            client = ServeClient(srv.address, client_id=f"c{i}")
+            barrier.wait()
+            replies[i] = client.submit("synth", SYNTH, timeout=120)
 
-        leader = threading.Thread(target=lead)
-        leader.start()
-        _wait(lambda: node_b.coalescer.flight_info(fp)[0],
-              what="leader flight on B")
+        threads = [threading.Thread(target=go, args=(i, srv))
+                   for i, (srv, _) in enumerate(servers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert all(r is not None and r.ok for r in replies), replies
 
-        replies["a"] = ServeClient(node_a.address, client_id="ca") \
-            .submit("sleep", params, timeout=30)
-        leader.join(timeout=15)
-
-        assert replies["a"].ok and replies["b"].ok
-        assert replies["a"].record["token"] == "xnode"
-        a_stats = node_a.stats()["fabric"]
-        assert a_stats["peer_lookups"] >= 1
-        assert a_stats["remote_followed"] == 1
-        assert a_stats["remote_fallback"] == 0
-        b_stats = node_b.stats()["fabric"]
-        assert b_stats["relayed_in"] == 1  # A's follow arrived as a relay
+        caches = [srv.stats()["cache"] for srv, _ in servers]
+        for key in ("stores", "proc_misses"):
+            assert sum(c[key] for c in caches) == alone_cache[key], \
+                (key, caches, alone_cache)
+        assert canonical_record(replies[0].record) == \
+            canonical_record(replies[1].record) == \
+            canonical_record(alone.record)
     finally:
-        _stop([(node_a, thread_a), (node_b, thread_b)])
-
-
-def test_remote_follow_falls_back_to_local_when_peer_dies(tmp_path):
-    """A peered daemon whose peer is unreachable still executes
-    locally — the hint layer is an optimization, never a dependency."""
-    node, thread = _spawn(tmp_path, "loner", peers=["127.0.0.1:1"])
-    try:
-        reply = ServeClient(node.address, client_id="c").submit(
-            "sleep", {"seconds": 0.05, "token": "solo"}, timeout=30)
-        assert reply.ok
-        assert node.stats()["fabric"]["remote_followed"] == 0
-    finally:
-        _stop([(node, thread)])
+        _stop(servers)

@@ -1,5 +1,5 @@
 """The write-ahead job journal: WAL ordering, orphan detection across
-daemon restarts, fingerprint knowledge, and torn-tail tolerance."""
+daemon restarts, and torn-tail tolerance."""
 
 import json
 
@@ -42,7 +42,6 @@ def test_completed_jobs_do_not_orphan(tmp_path):
     j2 = JobJournal(str(tmp_path), "node-a")
     assert j2.epoch == 2
     assert j2.orphans == []
-    assert j2.known("fp-abc") is True
 
 
 def test_crash_between_accept_and_done_surfaces_an_orphan(tmp_path):
@@ -79,15 +78,6 @@ def test_failed_jobs_count_as_done_but_not_known(tmp_path):
     j1.done("j1", "fp-abc", "failed")
     j2 = JobJournal(str(tmp_path), "node-a")
     assert j2.orphans == []           # its fate was recorded
-    assert j2.known("fp-abc") is False  # but it never completed ok
-
-
-def test_known_tracks_live_completions_too(tmp_path):
-    j = JobJournal(str(tmp_path), "node-a")
-    assert j.known("fp-abc") is False
-    j.accepted("j1", "fp-abc", "synth", "c")
-    j.done("j1", "fp-abc", "ok")
-    assert j.known("fp-abc") is True
 
 
 def test_torn_tail_is_healed_not_fatal(tmp_path):
@@ -105,7 +95,7 @@ def test_torn_tail_is_healed_not_fatal(tmp_path):
     j2.accepted("j1", "fp-new", "synth", "c")
     j2.done("j1", "fp-new", "ok")
     j3 = JobJournal(str(tmp_path), "node-a")
-    assert j3.known("fp-new") is True
+    assert [o["fingerprint"] for o in j3.orphans] == ["fp-abc"]
 
 
 def test_distinct_daemon_names_do_not_share_journals(tmp_path):

@@ -1,13 +1,12 @@
 """Peer registry: the up/suspect/down state machine, deterministic
-failover order, throttled recovery probing, and the health checker."""
+failover order, and ping sweeps."""
 
 import threading
-import time
 
 import pytest
 
 from repro.errors import ServeError
-from repro.serve.peers import HealthChecker, PeerRegistry
+from repro.serve.peers import PeerRegistry
 
 ADDRS = ["127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"]
 
@@ -42,8 +41,7 @@ def mesh():
 
 @pytest.fixture
 def registry(mesh):
-    return PeerRegistry(ADDRS, down_after=3, probe_every=4,
-                        client_factory=mesh)
+    return PeerRegistry(ADDRS, down_after=3, client_factory=mesh)
 
 
 # ---- the state machine ------------------------------------------------------
@@ -147,27 +145,23 @@ def test_sweep_pings_every_live_peer(registry, mesh):
     assert all(mesh.pings[a] == 1 for a in ADDRS)
 
 
-def test_down_peer_probed_every_nth_sweep_and_recovers(registry, mesh):
+def test_sweep_pings_a_down_peer_and_one_success_returns_it_to_up(
+        registry, mesh):
     victim = sorted(ADDRS)[1]
     mesh.alive[victim] = False
     for _ in range(3):
         registry.sweep()
     assert registry.state(victim).status == "down"
+    assert victim not in registry.routable()
     pings_when_down = mesh.pings[victim]
 
-    # three sweeps while down: not yet the probe_every-th -> no pings
+    # a down peer is still pinged, and one success brings it back
     mesh.alive[victim] = True
-    for _ in range(3):
-        registry.sweep()
-    assert mesh.pings[victim] == pings_when_down
-
-    # the 4th down-sweep is the deterministic recovery probe
     probed = registry.sweep()
     assert probed[victim] is True
     assert mesh.pings[victim] == pings_when_down + 1
     assert registry.state(victim).status == "up"
     assert victim in registry.routable()
-    assert registry.stats.recovery_probes == 1
 
 
 def test_sweep_notices_draining_peers(registry, mesh):
@@ -175,41 +169,6 @@ def test_sweep_notices_draining_peers(registry, mesh):
     registry.sweep()
     assert registry.state(ADDRS[2]).draining is True
     assert registry.state(ADDRS[2]).status == "up"
-
-
-# ---- the checker thread -----------------------------------------------------
-
-
-def test_health_checker_marks_a_dead_peer_down(mesh):
-    registry = PeerRegistry(ADDRS, down_after=2, client_factory=mesh)
-    mesh.alive[ADDRS[0]] = False
-    checker = HealthChecker(registry, interval_s=0.02)
-    checker.start()
-    try:
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if registry.state(ADDRS[0]).status == "down":
-                break
-            time.sleep(0.01)
-        assert registry.state(ADDRS[0]).status == "down"
-        assert registry.routable() == sorted(ADDRS[1:])
-    finally:
-        checker.stop()
-
-
-def test_health_checker_survives_a_raising_factory():
-    def bomb(address):
-        raise RuntimeError("factory exploded")
-
-    registry = PeerRegistry(ADDRS, down_after=2, client_factory=bomb)
-    checker = HealthChecker(registry, interval_s=0.02)
-    checker.start()
-    try:
-        time.sleep(0.1)
-        # failures were recorded, the thread did not die
-        assert registry.stats.ping_failures > 0
-    finally:
-        checker.stop()
 
 
 def test_registry_is_thread_safe_under_concurrent_evidence(registry):
@@ -232,5 +191,3 @@ def test_registry_is_thread_safe_under_concurrent_evidence(registry):
 def test_bad_registry_parameters_are_refused(mesh):
     with pytest.raises(ServeError):
         PeerRegistry(ADDRS, down_after=0, client_factory=mesh)
-    with pytest.raises(ServeError):
-        PeerRegistry(ADDRS, probe_every=0, client_factory=mesh)

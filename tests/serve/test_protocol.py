@@ -50,7 +50,6 @@ def test_parse_request_normalizes_submit():
     req = protocol.parse_request(protocol.submit_request(
         "synth", {"level": "none"}, client="c1", timeout=5))
     assert req == {"op": "submit", "client": "c1", "timeout": 5.0,
-                   "relay": False,
                    "job": {"kind": "synth", "params": {"level": "none"}}}
 
 
@@ -69,6 +68,7 @@ def test_parse_request_defaults_client_and_timeout():
     {"op": "submit", "job": {"kind": "synth", "params": []}},
     {"op": "submit", "job": {"kind": "synth"}, "timeout": "soon"},
     {"op": "submit", "job": {"kind": "synth"}, "timeout": -1},
+    {"op": "lookup", "fingerprint": "abc"},
 ])
 def test_parse_request_rejects_malformed(bad):
     with pytest.raises(ServeError) as exc:
@@ -126,6 +126,9 @@ def test_canonical_record_strips_only_volatile_keys():
     miss = dict(record, cache_hit=False, elapsed_s=3.2,
                 cache_stats={"misses": 1}, attempts=1)
     assert protocol.canonical_record(miss) == canon
+    # a failed point's bundle path and traceback vary by run too
+    failed = dict(record, bundle="runs/r/bundles/p", detail="Traceback ...")
+    assert protocol.canonical_record(failed) == canon
 
 
 # ---- shared summary schemas -------------------------------------------------
