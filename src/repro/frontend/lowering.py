@@ -25,6 +25,8 @@ fields). How that pseudo-op becomes hardware is the subject of
 
 from __future__ import annotations
 
+import functools
+import pickle
 from dataclasses import dataclass
 
 from pycparser import c_ast, c_generator
@@ -43,6 +45,9 @@ from repro.ir.values import Const, StreamParam, Temp, Value
 from repro.utils.bitops import truncate
 
 _CGEN = c_generator.CGenerator()
+#: distinct strict-mode units :func:`lower_source` keeps, pickled (a
+#: Figs 4/5 sweep lowers about 140, 2-25 KB each)
+_MEMO_UNITS = 512
 
 _BINOPS: dict[str, OpKind] = {
     "+": OpKind.ADD,
@@ -708,10 +713,31 @@ def lower_source(
     translation unit; the returned module then only contains the functions
     that lowered cleanly and must not be synthesized if
     ``sink.has_errors``.
+
+    Without a ``sink`` (strict mode) the caller sees only the module or a
+    raise, so each distinct unit is lowered once per process and every
+    call returns a fresh copy; errors are not memoized.
     """
+    if sink is None:
+        key = tuple(sorted(defines.items())) if defines else ()
+        return pickle.loads(_lowered_blob(source, filename, key))
+    return _lower(source, filename, defines, sink)
+
+
+@functools.lru_cache(maxsize=_MEMO_UNITS)
+def _lowered_blob(source: str, filename: str, defines: tuple) -> bytes:
+    module = _lower(source, filename, dict(defines), DiagnosticSink(strict=True))
+    return pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _lower(
+    source: str,
+    filename: str,
+    defines: dict[str, str] | None,
+    sink: DiagnosticSink,
+) -> IRModule:
     from repro.frontend.parser import parse_source
 
-    sink = sink if sink is not None else DiagnosticSink(strict=True)
     parsed = parse_source(source, filename=filename, defines=defines, sink=sink)
     module = IRModule(source_file=filename)
     for _name, func_def in parsed.functions.items():

