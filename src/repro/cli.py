@@ -670,30 +670,21 @@ def cmd_submit(args) -> int:
 
 
 def cmd_fabric(args) -> int:
-    """Shard a job across N serve daemons with failover re-routing."""
+    """Shard a job across N serve daemons with failover to the next peer."""
     import json as _json
 
     from repro.errors import ReproError
-    from repro.serve.fabric import FabricRouter
-    from repro.serve.peers import PeerRegistry
+    from repro.serve.fabric import peer_status, run_fabric
 
     peers = [tok.strip() for tok in (args.peers or "").split(",")
              if tok.strip()]
     if not peers:
         raise SystemExit("repro fabric: need --peers HOST:PORT[,HOST:PORT..]")
-    try:
-        registry = PeerRegistry(peers)
-        router = FabricRouter(
-            registry, store_root=args.store,
-            max_reroutes=args.reroutes, timeout=args.timeout,
-            progress=None if args.json else sys.stderr)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from None
 
     if args.verb == "status":
-        snap = router.status()
-        print(_json.dumps(snap, indent=2, sort_keys=True))
-        return 0 if snap["routable"] else 1
+        status = peer_status(peers)
+        print(_json.dumps(status, indent=2, sort_keys=True))
+        return 0 if any(p["alive"] for p in status.values()) else 1
 
     if args.verb == "sweep":
         params = {
@@ -713,9 +704,12 @@ def cmd_fabric(args) -> int:
                   "max_stmts": args.stmts, "max_cycles": args.max_cycles}
 
     try:
-        result = router.run(args.verb, params, shards=args.shards)
+        result = run_fabric(
+            peers, args.verb, params, args.store, shards=args.shards,
+            timeout=args.timeout,
+            progress=None if args.json else sys.stderr)
     except ReproError as exc:
-        raise SystemExit(str(exc)) from None
+        raise SystemExit(f"repro fabric: {exc.code}: {exc}") from None
 
     if args.json:
         print(_json.dumps(result.as_dict(), indent=2, sort_keys=True))
@@ -1020,8 +1014,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "fabric",
-        help="shard a job across multiple serve daemons with peer "
-             "health, failover re-routing and byte-identical merging",
+        help="shard a job across multiple serve daemons, failing a "
+             "shard over to the next peer, with byte-identical merging",
     )
     p.add_argument("--peers", default=None, metavar="HOST:PORT,...",
                    help="the fabric's daemon addresses (required); all "
@@ -1031,10 +1025,8 @@ def main(argv: list[str] | None = None) -> int:
                         "into (merging happens here)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-shard job timeout")
-    p.add_argument("--reroutes", type=int, default=4, metavar="N",
-                   help="max failover re-routes per shard")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="shard count (default: one per routable peer)")
+                   help="shard count (default: one per peer)")
     p.add_argument("--json", action="store_true",
                    help="print one JSON fabric summary object")
     fabverb = p.add_subparsers(dest="verb", required=True)
@@ -1060,8 +1052,8 @@ def main(argv: list[str] | None = None) -> int:
     fp.add_argument("--stmts", type=int, default=8)
     fp.add_argument("--max-cycles", type=int, default=200_000)
 
-    fabverb.add_parser("status", help="ping every peer and print the "
-                                      "fabric's health view")
+    fabverb.add_parser("status", help="ping every peer once and print "
+                                      "which are alive or draining")
     p.set_defaults(func=cmd_fabric)
 
     p = sub.add_parser(

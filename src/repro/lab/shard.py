@@ -91,8 +91,11 @@ class ShardSpec:
     @classmethod
     def partition(cls, total: int) -> list["ShardSpec"]:
         """All ``total`` slices of a K/N split, in order — together they
-        cover every point exactly once (the fabric router assigns one
-        slice per serve peer)."""
+        cover every point exactly once (the fabric homes one slice per
+        serve peer)."""
+        if total < 1:
+            raise ShardError(
+                f"bad shard count {total}: want N >= 1", code="RPR-W010")
         return [cls(k, total) for k in range(1, total + 1)]
 
     def contains(self, token: object) -> bool:

@@ -17,8 +17,8 @@ router routes on it:
 * the stream dies *after* events started flowing (daemon crashed or was
   SIGKILL'd mid-job) — ``RPR-V007``, a **truncated stream**. The raised
   error preserves the partial events (``exc.events``) for triage, and
-  the code is classified transient by :mod:`repro.lab.retry` so a fabric
-  router re-routes the work instead of giving up. Truncated streams are
+  the code is classified transient by :mod:`repro.lab.retry` so the
+  fabric resubmits the work to the next peer instead of giving up. Truncated streams are
   never blindly retried here: the job may be running on the (possibly
   still alive) daemon, and resubmission policy belongs to the caller.
 
@@ -48,7 +48,8 @@ ADDRESS_ENV = "REPRO_SERVE"
 _SOCKET_GRACE_S = 10.0
 
 #: reconnect policy: 3 connection attempts total, fast deterministic
-#: backoff, no circuit breaker (the peer registry owns peer health)
+#: backoff, no circuit breaker — after these, RPR-V006 means the daemon
+#: is down, which is what lets the fabric keep no peer-health table
 _CONNECT_ATTEMPTS = 3
 _CONNECT_BACKOFF_S = 0.1
 

@@ -1,34 +1,30 @@
-"""The fabric router: one campaign, N daemons, any one allowed to die.
+"""The fabric client: one campaign, N daemons, any one allowed to die.
 
-This is the client-side half of the multi-node serve fabric. Given a set
-of peer daemons (all sharing one ``--store`` root on a common
-filesystem), the router:
+Given peer daemons that share one ``--store`` root on a common
+filesystem, :func:`run_fabric`:
 
 1. **Shards** the job space with :meth:`repro.lab.shard.ShardSpec.partition`
-   — the same deterministic point-fingerprint partitioning CI matrix legs
-   use, so shard membership depends only on content, never on which peer
-   runs it;
-2. **Submits** one shard per routable peer, concurrently, each as an
-   ordinary submit with a ``shard: "K/N"`` param (the daemon's drivers
-   journal into ``<base>.sKofN`` run directories);
-3. **Re-routes** on failure: a transient outcome (dead peer RPR-V006,
-   truncated stream RPR-V007, capacity/drain rejection RPR-V002/V004,
-   timeout) moves the *same* shard spec to the next surviving peer in
-   deterministic cyclic order, after a deterministic
-   :class:`repro.lab.retry.RetryPolicy` backoff. Nothing is recomputed:
-   the failed peer already journaled its completed points into the
-   shard's run directory, and the survivor's driver resumes past them
-   (torn tails from a SIGKILL heal on first append). A *permanent*
-   failure (the job itself is broken) fails the shard immediately —
-   re-routing deterministic failures would just fail N times;
-4. **Merges** the per-shard run directories with
+   — the partitioning CI matrix legs use, so shard membership depends
+   only on content, never on which peer runs it;
+2. **Submits** every shard concurrently, shard *k* to its home peer
+   ``peers[(k-1) % n]`` of the sorted peer list, as an ordinary submit
+   with a ``shard: "K/N"`` param (the daemon's drivers journal into
+   ``<base>.sKofN`` run directories);
+3. **Fails over** by walking the sorted peer list cyclically from the
+   home peer, trying each peer at most once. A transient outcome (dead
+   peer RPR-V006, truncated stream RPR-V007, capacity/drain rejection
+   RPR-V002/V004, timeout) resubmits the same shard to the next peer
+   after a :class:`repro.lab.retry.RetryPolicy` backoff; the next
+   peer's driver resumes past the points already journaled. A permanent
+   failure fails the shard at once; a shard every peer failed is
+   ``lost``. No health table is kept: :class:`ServeClient` already
+   retries a refused connect before it raises RPR-V006;
+4. **Merges** the shard run directories with
    :func:`repro.lab.shard.merge_runs` into the canonical run, which is
-   byte-identical to a clean unsharded (or 1-node) run of the same spec —
-   the invariant the chaos suite asserts across daemon SIGKILLs.
+   byte-identical to a clean unsharded run of the same spec.
 
-Retry/backoff and transience classification come from
-:mod:`repro.lab.retry` — the fabric adds routing on top, never a second
-retry implementation.
+:func:`peer_status` is the ``repro fabric status`` probe: one ping per
+peer, no reconnect retries.
 """
 
 from __future__ import annotations
@@ -44,18 +40,9 @@ from repro.lab.retry import (
     is_transient_exception,
 )
 from repro.lab.shard import ShardSpec, base_run_id, merge_runs
-from repro.serve.peers import PeerRegistry
+from repro.serve.client import ServeClient
 
-__all__ = ["FabricResult", "FabricRouter", "ShardOutcome"]
-
-#: default ceiling on re-routes per shard (beyond the first attempt)
-MAX_REROUTES = 4
-
-
-def _default_client_factory(address: str):
-    from repro.serve.client import ServeClient
-
-    return ServeClient(address, client_id="fabric-router")
+__all__ = ["FabricResult", "ShardOutcome", "peer_status", "run_fabric"]
 
 
 @dataclass
@@ -97,7 +84,6 @@ class FabricResult:
     shards: list[ShardOutcome]
     base_run_id: str | None = None
     merge: object | None = None      # MergeResult when every shard landed
-    peers: dict = field(default_factory=dict)
     elapsed_s: float = 0.0
 
     @property
@@ -117,165 +103,135 @@ class FabricResult:
             "merged_records": len(self.merge.records) if self.merge else 0,
             "rerouted_shards": self.rerouted_shards,
             "shards": [s.as_dict() for s in self.shards],
-            "peers": self.peers,
             "elapsed_s": round(self.elapsed_s, 3),
         }
 
 
-class FabricRouter:
-    """Routes one sharded job across a :class:`PeerRegistry`.
+def _sorted_peers(peers) -> list[str]:
+    cleaned = sorted({str(p).strip() for p in peers if str(p).strip()})
+    if not cleaned:
+        raise ServeError("the fabric needs at least one peer address",
+                         code="RPR-V005")
+    return cleaned
 
-    ``client_factory(address)`` is injectable for tests; ``retry``
-    supplies the *backoff schedule* for re-route attempts (transience
-    classification is :func:`repro.lab.retry.is_transient_exception` and
+
+def run_fabric(peers, kind: str, params: dict, store_root: str, *,
+               shards: int | None = None, timeout: float | None = None,
+               retry: RetryPolicy | None = None, client_factory=None,
+               progress=None) -> FabricResult:
+    """Shard ``params`` over ``peers``, submit, fail over, merge.
+
+    ``shards`` defaults to one per peer. ``client_factory(address)`` is
+    injectable for tests; ``retry`` supplies only the *backoff schedule*
+    between hops (transience classification is
+    :func:`repro.lab.retry.is_transient_exception` and
     :data:`TRANSIENT_CODES` — shared with every other layer).
     """
+    t0 = time.monotonic()
+    peers = _sorted_peers(peers)
+    specs = ShardSpec.partition(len(peers) if shards is None else shards)
+    client_factory = client_factory or (
+        lambda address: ServeClient(address, client_id="fabric-router"))
+    retry = retry or RetryPolicy(base_delay=0.1, max_delay=5.0,
+                                 breaker=None)
 
-    def __init__(self, registry: PeerRegistry, store_root: str,
-                 client_factory=None, retry: RetryPolicy | None = None,
-                 max_reroutes: int = MAX_REROUTES,
-                 timeout: float | None = None, progress=None) -> None:
-        self.registry = registry
-        self.store_root = store_root
-        self.client_factory = client_factory or _default_client_factory
-        self.retry = retry or RetryPolicy(
-            max_attempts=max(1, max_reroutes + 1),
-            base_delay=0.1, max_delay=5.0, breaker=None)
-        self.max_reroutes = max_reroutes
-        self.timeout = timeout
-        self.progress = progress
-        self._lock = threading.Lock()
-        self._run_ids: list[str] = []
+    def say(msg: str) -> None:
+        if progress:
+            print(f"[fabric] {msg}", file=progress, flush=True)
 
-    def _say(self, msg: str) -> None:
-        if self.progress:
-            print(f"[fabric] {msg}", file=self.progress, flush=True)
-
-    # -- the run --------------------------------------------------------------
-
-    def run(self, kind: str, params: dict,
-            shards: int | None = None) -> FabricResult:
-        """Shard ``params`` over the routable peers, submit, re-route,
-        merge. ``shards`` defaults to the number of routable peers."""
-        t0 = time.monotonic()
-        peers = self.registry.routable()
-        if not peers:
-            raise ServeError(
-                "no routable peers in the fabric (all down?)",
-                code="RPR-V006")
-        total = shards or len(peers)
-        specs = ShardSpec.partition(total)
-        self._say(f"{kind}: {total} shard(s) over {len(peers)} peer(s) "
-                  f"{peers}")
-        outcomes = [ShardOutcome(shard=f"{s.index}/{s.total}")
-                    for s in specs]
-        threads = []
-        for i, spec in enumerate(specs):
-            # deterministic initial assignment: shard k -> k-th routable
-            # peer (wrapping); failover walks the sorted order from there
-            home = peers[i % len(peers)]
-            t = threading.Thread(
-                target=self._run_shard,
-                args=(kind, params, spec, home, outcomes[i]),
-                name=f"fabric-shard-{spec.label}", daemon=True)
-            t.start()
-            threads.append(t)
-        for t in threads:
-            t.join()
-
-        result = FabricResult(kind=kind, shards=outcomes,
-                              peers=self.registry.snapshot())
-        with self._lock:
-            run_ids = list(self._run_ids)
-        if run_ids:
-            result.base_run_id = base_run_id(run_ids[0])
-        if result.ok and result.base_run_id:
-            result.merge = merge_runs(self.store_root, result.base_run_id,
-                                      progress=self.progress or None)
-            self._say(f"merged -> {result.merge.run.dir}")
-        result.elapsed_s = time.monotonic() - t0
-        return result
-
-    def _run_shard(self, kind: str, params: dict, spec: ShardSpec,
-                   home: str, out: ShardOutcome) -> None:
-        """Drive one shard to a terminal outcome, re-routing across
-        surviving peers on transient failures."""
-        shard_text = f"{spec.index}/{spec.total}"
+    def run_shard(spec: ShardSpec, out: ShardOutcome) -> None:
+        """Drive one shard to a terminal outcome, walking the peer list
+        once from its home peer."""
         job_params = dict(params)
-        job_params["shard"] = shard_text
-        peer = home
-        for attempt in range(1, self.max_reroutes + 2):
-            if peer is None:
-                out.status = "lost"
-                out.attempts.append(
-                    {"peer": None, "outcome": "no-routable-peer"})
-                self._say(f"shard {shard_text}: no surviving peer left")
-                return
-            if attempt > 1:
-                # deterministic backoff before hammering the survivor
-                time.sleep(self.retry.delay(
-                    attempt, f"{spec.label}@{peer}"))
-            hop = {"peer": peer, "outcome": "?"}
-            out.attempts.append(hop)
+        job_params["shard"] = out.shard
+        home = spec.index - 1
+        for hop in range(len(peers)):
+            peer = peers[(home + hop) % len(peers)]
+            if hop:
+                # deterministic backoff before hitting the next peer
+                time.sleep(retry.delay(hop + 1, f"{spec.label}@{peer}"))
+            attempt = {"peer": peer, "outcome": "?"}
+            out.attempts.append(attempt)
             try:
-                reply = self.client_factory(peer).submit(
-                    kind, job_params, timeout=self.timeout)
+                reply = client_factory(peer).submit(
+                    kind, job_params, timeout=timeout)
             except ServeError as exc:
-                self.registry.record_failure(peer, exc)
-                hop["outcome"] = f"error:{exc.code}"
+                attempt["outcome"] = f"error:{exc.code}"
                 if not is_transient_exception(exc):
                     out.status = "failed"
                     out.peer = peer
                     out.diagnostics = [{"code": exc.code,
                                         "message": exc.message}]
                     return
-                self._say(f"shard {shard_text}: {peer} failed "
-                          f"({exc.code}); re-routing")
-                peer = self.registry.survivor_after(peer)
+                say(f"shard {out.shard}: {peer} failed ({exc.code}); "
+                    "trying the next peer")
                 continue
 
             terminal = reply.terminal
             event = terminal.get("event")
             if event == "result" and terminal.get("status") == "ok":
-                self.registry.record_success(peer)
                 out.status = "ok"
                 out.peer = peer
                 out.record = terminal.get("record")
-                hop["outcome"] = "ok"
-                rid = (out.record or {}).get("run_id")
-                if rid:
-                    with self._lock:
-                        self._run_ids.append(rid)
+                attempt["outcome"] = "ok"
                 return
 
-            # a non-ok terminal: decide re-route vs final failure
             code = terminal.get("code")
             status = terminal.get("status", event)
-            transient = bool(terminal.get("transient")) or \
-                (code in TRANSIENT_CODES) or status == "timeout"
-            hop["outcome"] = f"{status}:{code or '-'}"
-            if transient:
-                # the peer answered, so it is not dead — but it cannot
-                # take this work (draining, at capacity, timing out);
-                # treat like a soft failure for routing purposes
-                self.registry.record_failure(
-                    peer, f"{status} ({code or 'transient'})")
-                self._say(f"shard {shard_text}: {peer} answered "
-                          f"{status}; re-routing")
-                peer = self.registry.survivor_after(peer)
+            attempt["outcome"] = f"{status}:{code or '-'}"
+            if terminal.get("transient") or code in TRANSIENT_CODES \
+                    or status == "timeout":
+                # the peer answered but cannot take this work
+                # (draining, at capacity, timing out)
+                say(f"shard {out.shard}: {peer} answered {status}; "
+                    "trying the next peer")
                 continue
-            self.registry.record_success(peer)
             out.status = "rejected" if event == "rejected" else str(status)
             out.peer = peer
             out.diagnostics = list(terminal.get("diagnostics", ()))
             return
-        out.status = out.status if out.status != "pending" else "lost"
-        self._say(f"shard {shard_text}: re-route budget exhausted")
+        out.status = "lost"
+        say(f"shard {out.shard}: every peer failed it")
 
-    # -- observability --------------------------------------------------------
+    say(f"{kind}: {len(specs)} shard(s) over {len(peers)} peer(s) {peers}")
+    outcomes = [ShardOutcome(shard=f"{s.index}/{s.total}") for s in specs]
+    threads = [threading.Thread(target=run_shard, args=(spec, out),
+                                name=f"fabric-shard-{spec.label}",
+                                daemon=True)
+               for spec, out in zip(specs, outcomes)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
 
-    def status(self) -> dict:
-        """Ping every peer once and return the fabric's health view
-        (the ``repro fabric status`` payload)."""
-        self.registry.sweep()
-        return self.registry.snapshot()
+    result = FabricResult(kind=kind, shards=outcomes)
+    run_ids = [o.record["run_id"] for o in outcomes
+               if o.ok and (o.record or {}).get("run_id")]
+    if run_ids:
+        result.base_run_id = base_run_id(run_ids[0])
+    if result.ok and result.base_run_id:
+        result.merge = merge_runs(store_root, result.base_run_id,
+                                  progress=progress or None)
+        say(f"merged -> {result.merge.run.dir}")
+    result.elapsed_s = time.monotonic() - t0
+    return result
+
+
+def peer_status(peers, client_factory=None) -> dict:
+    """Ping every peer once (no reconnect retries) and return
+    ``{address: {alive, draining, error}}`` — the ``repro fabric
+    status`` payload."""
+    client_factory = client_factory or (lambda address: ServeClient(
+        address, client_id="fabric-status", connect_attempts=1))
+    status = {}
+    for address in _sorted_peers(peers):
+        try:
+            pong = client_factory(address).ping(timeout=2.0)
+        except Exception as exc:  # noqa: BLE001 - any failure = dead peer
+            status[address] = {"alive": False, "draining": False,
+                               "error": str(exc)}
+        else:
+            status[address] = {"alive": True,
+                               "draining": bool(pong.get("draining")),
+                               "error": None}
+    return status

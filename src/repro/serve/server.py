@@ -30,9 +30,10 @@ Every accepted job is logged to a crash-recoverable **write-ahead
 journal** (:mod:`repro.serve.journal`) before execution, so a SIGKILL
 between acceptance and completion surfaces as an *orphaned job* in the
 restarted daemon's ``/stats`` instead of vanishing. A daemon knows
-nothing about its peers: the fabric router (:mod:`repro.serve.fabric`)
-does the routing, and daemons sharing one ``--cache`` directory perform
-one synthesis per key through the cache's fill leases.
+nothing about its peers: the fabric client
+(:func:`repro.serve.fabric.run_fabric`) assigns shards and fails them
+over, and daemons sharing one ``--cache`` directory perform one
+synthesis per key through the cache's fill leases.
 """
 
 from __future__ import annotations

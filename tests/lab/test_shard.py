@@ -37,6 +37,10 @@ def test_bad_specs_rejected_with_codes():
     with pytest.raises(ShardError) as exc:
         ShardSpec.parse("2-8")
     assert exc.value.code == "RPR-W011"
+    for total in (0, -1):
+        with pytest.raises(ShardError) as exc:
+            ShardSpec.partition(total)
+        assert exc.value.code == "RPR-W010"
 
 
 def test_shards_partition_the_space_exactly():

@@ -19,8 +19,7 @@ from repro.lab.chaos import ChaosSpec
 from repro.lab.retry import RetryPolicy, is_transient_exception
 from repro.lab.shard import merge_runs
 from repro.serve.client import ServeClient, parse_address
-from repro.serve.fabric import FabricRouter
-from repro.serve.peers import PeerRegistry
+from repro.serve.fabric import run_fabric
 from repro.serve.server import ReproServer, ServeConfig
 
 
@@ -66,8 +65,8 @@ def test_refused_connect_is_retried_transparently(tmp_path, monkeypatch):
 
 
 def test_single_attempt_client_never_retries(tmp_path, monkeypatch):
-    """connect_attempts=1 means fail fast — the peer registry's pings and
-    fabric router want the raw verdict, not a masked one."""
+    """connect_attempts=1 means fail fast — `repro fabric status` pings
+    want the raw verdict, not a masked one."""
     srv, thread = _spawn(tmp_path)
     try:
         _arm(monkeypatch, tmp_path, connect_refuse=1.0,
@@ -172,9 +171,10 @@ def _await_address(proc, addr_file):
 
 def test_fabric_survives_a_daemon_sigkill_mid_campaign(tmp_path):
     """Kill 1 of 3 real daemons (chaos SIGKILL as its shard starts
-    executing) and assert the full robustness story: the shard re-routes,
-    the merged bytes equal a clean single-process run, and the victim's
-    write-ahead journal surfaces the orphaned job on restart."""
+    executing) and assert the full robustness story: the shard fails over
+    to the next peer, the merged bytes equal a clean single-process run,
+    and the victim's write-ahead journal surfaces the orphaned job on
+    restart."""
     victim_name = "chaos-victim"
     chaos_env = {"REPRO_CHAOS": ChaosSpec(
         state_dir=str(tmp_path / "chaos"), daemon_kill=1.0,
@@ -188,15 +188,13 @@ def test_fabric_survives_a_daemon_sigkill_mid_campaign(tmp_path):
         addrs = sorted(_await_address(proc, af) for proc, af in daemons)
         victim_proc = daemons[0][0]
 
-        registry = PeerRegistry(addrs)
-        router = FabricRouter(
-            registry, store_root=str(tmp_path / "store"),
-            retry=RetryPolicy(max_attempts=8, base_delay=0.05,
-                              max_delay=0.2, breaker=None),
+        result = run_fabric(
+            addrs, "campaign",
+            {"app": "loopback", "seed": 11, "count": 4,
+             "levels": ["none", "optimized"]},
+            str(tmp_path / "store"),
+            retry=RetryPolicy(base_delay=0.05, max_delay=0.2, breaker=None),
             timeout=300)
-        result = router.run("campaign", {
-            "app": "loopback", "seed": 11, "count": 4,
-            "levels": ["none", "optimized"]})
 
         assert result.ok
         assert result.rerouted_shards >= 1

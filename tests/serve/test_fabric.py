@@ -1,24 +1,26 @@
-"""The fabric router: deterministic shard assignment, failover
-re-routing across surviving peers, merge byte-identity, and one
-synthesis per key across daemons that share only a cache directory."""
+"""The fabric client: deterministic shard assignment, failover as one
+walk over the sorted peer list, the status probe, merge byte-identity,
+and one synthesis per key across daemons that share only a cache
+directory."""
 
+import json
 import threading
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ServeError
 from repro.faults.campaign import run_campaign
 from repro.lab.retry import RetryPolicy
 from repro.lab.shard import merge_runs
 from repro.serve import canonical_record
 from repro.serve.client import ServeClient, SubmitReply
-from repro.serve.fabric import FabricRouter
-from repro.serve.peers import PeerRegistry
+from repro.serve.fabric import peer_status, run_fabric
 from repro.serve.server import ReproServer, ServeConfig
 
 ADDRS = ["10.0.0.1:7001", "10.0.0.2:7001", "10.0.0.3:7001"]
 
-#: millisecond backoffs so re-route tests don't sleep for real
+#: millisecond backoffs so failover tests don't sleep for real
 FAST_RETRY = RetryPolicy(max_attempts=8, base_delay=0.001,
                          max_delay=0.002, breaker=None)
 
@@ -50,11 +52,15 @@ def result_reply(status, transient=False, diagnostics=()):
 class ScriptedMesh:
     """A fabric of scripted daemons: each address pops outcomes off its
     script (an exception instance raises, a reply returns); when the
-    script runs dry the peer answers ok. Every submit is recorded."""
+    script runs dry the peer answers ok. Every submit is recorded.
+    Pings fail for addresses in ``dead`` and report ``draining``."""
 
     def __init__(self):
         self.scripts = {}
         self.submits = []  # (address, kind, params) in arrival order
+        self.dead = set()
+        self.draining = set()
+        self.pings = []
 
     def script(self, address, *outcomes):
         self.scripts[address] = list(outcomes)
@@ -72,17 +78,20 @@ class ScriptedMesh:
                 return outcome
 
             def ping(self, timeout=None):
-                return {"event": "pong"}
+                mesh.pings.append(address)
+                if address in mesh.dead:
+                    raise ServeError(f"{address} is dead", code="RPR-V006")
+                return {"event": "pong",
+                        "draining": address in mesh.draining}
 
         return _Client()
 
 
-def make_router(mesh, addrs=ADDRS, **kw):
-    registry = PeerRegistry(addrs, client_factory=mesh)
+def run(mesh, params=None, addrs=ADDRS, **kw):
     kw.setdefault("retry", FAST_RETRY)
-    router = FabricRouter(registry, store_root="unused-store",
-                          client_factory=mesh, **kw)
-    return router, registry
+    return run_fabric(addrs, "sleep",
+                      {"seconds": 0} if params is None else params,
+                      "unused-store", client_factory=mesh, **kw)
 
 
 # ---- happy path -------------------------------------------------------------
@@ -90,8 +99,7 @@ def make_router(mesh, addrs=ADDRS, **kw):
 
 def test_shards_land_on_distinct_home_peers(tmp_path):
     mesh = ScriptedMesh()
-    router, _ = make_router(mesh)
-    result = router.run("sleep", {"seconds": 0})
+    result = run(mesh)
     assert result.ok
     assert result.rerouted_shards == 0
     assert [s.shard for s in result.shards] == ["1/3", "2/3", "3/3"]
@@ -103,16 +111,14 @@ def test_shards_land_on_distinct_home_peers(tmp_path):
 
 def test_caller_params_are_not_mutated(tmp_path):
     mesh = ScriptedMesh()
-    router, _ = make_router(mesh)
     params = {"seconds": 0}
-    router.run("sleep", params)
+    run(mesh, params)
     assert params == {"seconds": 0}  # shard key added to a copy only
 
 
 def test_more_shards_than_peers_wraps_deterministically():
     mesh = ScriptedMesh()
-    router, _ = make_router(mesh, addrs=ADDRS[:2])
-    result = router.run("sleep", {"seconds": 0}, shards=4)
+    result = run(mesh, addrs=ADDRS[:2], shards=4)
     assert result.ok and len(result.shards) == 4
     homes = [a for a, _, _ in mesh.submits]
     assert sorted(homes) == sorted([ADDRS[0], ADDRS[1]] * 2)
@@ -122,25 +128,24 @@ def test_more_shards_than_peers_wraps_deterministically():
 
 
 def test_no_routable_peers_is_an_error():
+    """An empty peer list is a coded configuration error, not a
+    zero-shard run."""
     mesh = ScriptedMesh()
-    router, registry = make_router(mesh)
-    for addr in ADDRS:
-        for _ in range(3):
-            registry.record_failure(addr, "dead")
-    with pytest.raises(ServeError) as exc:
-        router.run("sleep", {})
-    assert exc.value.code == "RPR-V006"
+    for addrs in ([], ["", "  "]):
+        with pytest.raises(ServeError) as exc:
+            run(mesh, addrs=addrs)
+        assert exc.value.code == "RPR-V005"
+    assert mesh.submits == []
 
 
-# ---- failover re-routing ----------------------------------------------------
+# ---- failover: one walk over the sorted peer list ---------------------------
 
 
 def test_dead_peer_shard_reroutes_to_next_survivor():
     mesh = ScriptedMesh()
     dead = ServeError("connection refused", code="RPR-V006")
     mesh.script(ADDRS[0], dead, dead, dead, dead)
-    router, registry = make_router(mesh)
-    result = router.run("sleep", {"seconds": 0})
+    result = run(mesh)
     assert result.ok
     assert result.rerouted_shards == 1
     (moved,) = [s for s in result.shards if s.rerouted]
@@ -148,16 +153,29 @@ def test_dead_peer_shard_reroutes_to_next_survivor():
     assert [h["peer"] for h in moved.attempts] == [ADDRS[0], ADDRS[1]]
     assert moved.attempts[0]["outcome"] == "error:RPR-V006"
     assert moved.attempts[1]["outcome"] == "ok"
-    # one failed hop is evidence, not a verdict: the peer is suspect
-    assert registry.state(ADDRS[0]).status == "suspect"
+
+
+def test_failover_walks_the_peer_list_cyclically_from_home():
+    """Every transient failure moves the shard one peer further along
+    the sorted cyclic order, starting at its home peer."""
+    mesh = ScriptedMesh()
+    mesh.script(ADDRS[0], ServeError("refused", code="RPR-V006"))
+    mesh.script(ADDRS[1], ServeError("cut", code="RPR-V007"))
+    result = run(mesh, shards=1)
+    (shard,) = result.shards
+    assert shard.ok and shard.peer == ADDRS[2]
+    assert shard.attempts == [
+        {"peer": ADDRS[0], "outcome": "error:RPR-V006"},
+        {"peer": ADDRS[1], "outcome": "error:RPR-V007"},
+        {"peer": ADDRS[2], "outcome": "ok"},
+    ]
 
 
 def test_truncated_stream_reroutes():
     mesh = ScriptedMesh()
     cut = ServeError("died mid-stream", code="RPR-V007")
     mesh.script(ADDRS[1], cut)
-    router, _ = make_router(mesh)
-    result = router.run("sleep", {"seconds": 0})
+    result = run(mesh)
     assert result.ok
     (moved,) = [s for s in result.shards if s.rerouted]
     assert moved.shard == "2/3"
@@ -167,8 +185,7 @@ def test_truncated_stream_reroutes():
 def test_draining_peer_rejection_reroutes():
     mesh = ScriptedMesh()
     mesh.script(ADDRS[0], rejected_reply("RPR-V004"))
-    router, _ = make_router(mesh)
-    result = router.run("sleep", {"seconds": 0})
+    result = run(mesh)
     assert result.ok
     (moved,) = [s for s in result.shards if s.rerouted]
     assert moved.attempts[0]["outcome"] == "rejected:RPR-V004"
@@ -178,20 +195,18 @@ def test_draining_peer_rejection_reroutes():
 def test_timeout_outcome_reroutes():
     mesh = ScriptedMesh()
     mesh.script(ADDRS[2], result_reply("timeout", transient=True))
-    router, _ = make_router(mesh)
-    result = router.run("sleep", {"seconds": 0})
+    result = run(mesh)
     assert result.ok
     (moved,) = [s for s in result.shards if s.rerouted]
     assert moved.attempts[0]["outcome"].startswith("timeout")
-    assert moved.peer == ADDRS[0]  # 3/3's survivor wraps to the front
+    assert moved.peer == ADDRS[0]  # 3/3's next peer wraps to the front
 
 
 def test_permanent_failure_fails_fast_without_rerouting():
     mesh = ScriptedMesh()
     diag = {"code": "RPR-E001", "severity": "error", "message": "crash"}
     mesh.script(ADDRS[0], result_reply("failed", diagnostics=[diag]))
-    router, _ = make_router(mesh)
-    result = router.run("sleep", {"seconds": 0}, shards=1)
+    result = run(mesh, shards=1)
     assert not result.ok
     (shard,) = result.shards
     assert shard.status == "failed"
@@ -205,8 +220,7 @@ def test_permanent_failure_fails_fast_without_rerouting():
 def test_invalid_job_error_is_permanent():
     mesh = ScriptedMesh()
     mesh.script(ADDRS[0], ServeError("bad params", code="RPR-V001"))
-    router, _ = make_router(mesh)
-    result = router.run("sleep", {"seconds": 0}, shards=1)
+    result = run(mesh, shards=1)
     (shard,) = result.shards
     assert shard.status == "failed"
     assert shard.diagnostics[0]["code"] == "RPR-V001"
@@ -217,26 +231,50 @@ def test_shard_is_lost_when_no_survivor_remains():
     mesh = ScriptedMesh()
     dead = ServeError("refused", code="RPR-V006")
     mesh.script(ADDRS[0], dead, dead, dead, dead)
-    router, _ = make_router(mesh, addrs=ADDRS[:1], max_reroutes=2)
-    result = router.run("sleep", {"seconds": 0})
+    result = run(mesh, addrs=ADDRS[:1])
     (shard,) = result.shards
     assert shard.status == "lost"
     assert not result.ok
-    assert shard.attempts[-1] == {"peer": None,
-                                  "outcome": "no-routable-peer"}
+    assert shard.attempts == [{"peer": ADDRS[0],
+                               "outcome": "error:RPR-V006"}]
 
 
 def test_reroute_budget_bounds_the_ping_pong():
+    """The attempt bound is the peer count: a shard tries each peer
+    exactly once, then is lost — it never ping-pongs between them."""
     mesh = ScriptedMesh()
     dead = ServeError("refused", code="RPR-V006")
     for addr in ADDRS[:2]:
         mesh.script(addr, *[dead] * 8)
-    router, _ = make_router(mesh, addrs=ADDRS[:2], max_reroutes=2)
-    result = router.run("sleep", {"seconds": 0}, shards=1)
+    result = run(mesh, addrs=ADDRS[:2], shards=1)
     (shard,) = result.shards
     assert shard.status == "lost"
-    # first attempt + max_reroutes re-routes, then the budget is gone
-    assert len(shard.attempts) == 3
+    assert [h["peer"] for h in shard.attempts] == ADDRS[:2]
+    assert [a for a, _, _ in mesh.submits] == ADDRS[:2]
+
+
+# ---- fabric status: one ping per peer ---------------------------------------
+
+
+def test_status_pings_every_peer_including_dead_ones():
+    mesh = ScriptedMesh()
+    mesh.dead.add(ADDRS[1])
+    status = peer_status(reversed(ADDRS), client_factory=mesh)
+    assert list(status) == ADDRS
+    assert sorted(mesh.pings) == ADDRS  # exactly one ping each
+    assert {a: s["alive"] for a, s in status.items()} == {
+        ADDRS[0]: True, ADDRS[1]: False, ADDRS[2]: True}
+    assert status[ADDRS[0]]["error"] is None
+    assert "dead" in status[ADDRS[1]]["error"]
+
+
+def test_status_notices_draining_peers():
+    mesh = ScriptedMesh()
+    mesh.draining.add(ADDRS[2])
+    status = peer_status(ADDRS, client_factory=mesh)
+    assert status[ADDRS[2]] == {"alive": True, "draining": True,
+                                "error": None}
+    assert status[ADDRS[0]]["draining"] is False
 
 
 # ---- live fabric: 3 daemons, one refuses, bytes still canonical -------------
@@ -276,10 +314,9 @@ def test_fabric_survives_a_draining_peer_and_merges_identically(tmp_path):
                       if f"{s.address[0]}:{s.address[1]}" == victim_addr)
         victim.admission.start_drain()  # rejects everything: RPR-V004
 
-        registry = PeerRegistry(addrs)
-        router = FabricRouter(registry, store_root=str(tmp_path / "store"),
-                              retry=FAST_RETRY, timeout=300)
-        result = router.run("campaign", CAMPAIGN)
+        result = run_fabric(addrs, "campaign", CAMPAIGN,
+                            str(tmp_path / "store"), retry=FAST_RETRY,
+                            timeout=300)
 
         assert result.ok
         assert result.rerouted_shards >= 1
@@ -302,6 +339,35 @@ def test_fabric_survives_a_draining_peer_and_merges_identically(tmp_path):
             solo_merge.matrix_path.read_bytes()
     finally:
         _stop(servers)
+
+
+def test_cli_status_exit_code_tracks_liveness(tmp_path, capsys):
+    """`repro fabric status` exits 0 while any peer answers a ping and
+    1 when none does."""
+    dead = "127.0.0.1:1"
+    assert main(["fabric", "--peers", dead, "status"]) == 1
+    assert json.loads(capsys.readouterr().out)[dead]["alive"] is False
+
+    servers = [_spawn(tmp_path, "live")]
+    try:
+        live = "{}:{}".format(*servers[0][0].address)
+        assert main(["fabric", "--peers", f"{live},{dead}", "status"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status[live] == {"alive": True, "draining": False,
+                                "error": None}
+        assert status[dead]["alive"] is False
+    finally:
+        _stop(servers)
+
+
+@pytest.mark.parametrize("shards", ["0", "-1"])
+def test_cli_bad_shard_count_exits_with_the_code(shards):
+    """--shards 0 is an error, not "one per peer"; --shards -1 is an
+    error, not a zero-shard run."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fabric", "--peers", "127.0.0.1:1", "--shards", shards,
+              "--json", "campaign"])
+    assert "RPR-W010" in str(exc.value.code)
 
 
 # ---- cross-daemon dedup: fill leases over a shared cache --------------------

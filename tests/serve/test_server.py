@@ -204,11 +204,7 @@ def test_capacity_rejection_over_the_wire(tmp_path):
             lambda: client_for(srv, "holder").submit(
                 "sleep", {"seconds": 2.0, "token": "hold"}, timeout=30))
         # wait until the holder's job is actually running
-        deadline = 50
-        while srv.job_counters()["active"] == 0 and deadline:
-            import time
-            time.sleep(0.05)
-            deadline -= 1
+        _wait_for(lambda: srv.job_counters()["active"], "holder job")
         reply = client_for(srv, "late").submit(
             "sleep", {"seconds": 0.1, "token": "other"}, timeout=10)
         assert reply.rejected
@@ -235,11 +231,7 @@ def test_per_client_limit_rejects_the_greedy_client(tmp_path):
         hold = ThreadPoolExecutor(1).submit(
             lambda: ServeClient(srv.address, client_id="greedy").submit(
                 "sleep", {"seconds": 2.0, "token": "g1"}, timeout=30))
-        deadline = 50
-        while srv.job_counters()["active"] == 0 and deadline:
-            import time
-            time.sleep(0.05)
-            deadline -= 1
+        _wait_for(lambda: srv.job_counters()["active"], "greedy job")
         second = ServeClient(srv.address, client_id="greedy").submit(
             "sleep", {"seconds": 0.1, "token": "g2"}, timeout=10)
         assert second.rejected
@@ -293,11 +285,7 @@ def test_drain_finishes_inflight_work(tmp_path):
     inflight = ThreadPoolExecutor(1).submit(
         lambda: ServeClient(srv.address, client_id="d").submit(
             "sleep", {"seconds": 1.0, "token": "drain"}, timeout=30))
-    import time
-    deadline = 50
-    while srv.job_counters()["active"] == 0 and deadline:
-        time.sleep(0.05)
-        deadline -= 1
+    _wait_for(lambda: srv.job_counters()["active"], "in-flight job")
     srv.request_shutdown()
     thread.join(timeout=15)
     assert not thread.is_alive()
