@@ -45,17 +45,33 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from repro.core.synth import SynthesisOptions, synthesize
-from repro.platform.report import execution_summary, overhead_report
-from repro.platform.resources import estimate_image
-from repro.platform.timing import estimate_fmax
-from repro.runtime.hwexec import execute
-from repro.runtime.swsim import software_sim
-from repro.runtime.taskgraph import Application
+if TYPE_CHECKING:
+    from repro.core.synth import SynthesisOptions
+    from repro.runtime.taskgraph import Application
+
+#: flow entry points the commands import when they run, so ``import
+#: repro.cli`` (and ``repro --help``) loads argparse and no part of the
+#: flow; they stay reachable as ``repro.cli.<name>`` attributes
+_FLOW_NAMES = frozenset({
+    "Application", "SynthesisOptions", "execute", "estimate_fmax",
+    "estimate_image", "execution_summary", "overhead_report",
+    "software_sim", "synthesize",
+})
+
+
+def __getattr__(name: str):
+    if name not in _FLOW_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import repro
+
+    return getattr(repro, name)
 
 
 def _build_app(path: str, feed: list[int]) -> Application:
+    from repro.runtime.taskgraph import Application
+
     with open(path) as fh:
         source = fh.read()
     app = Application(os.path.splitext(os.path.basename(path))[0])
@@ -74,6 +90,8 @@ def _build_app(path: str, feed: list[int]) -> Application:
 
 
 def _options(args) -> SynthesisOptions:
+    from repro.core.synth import SynthesisOptions
+
     return SynthesisOptions(
         parallelize=not args.no_parallelize,
         replicate=not args.no_replicate,
@@ -194,6 +212,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from repro.core.synth import synthesize
+    from repro.platform.resources import estimate_image
+    from repro.platform.timing import estimate_fmax
+
     app = _build_app(args.source, [])
     image = synthesize(app, assertions=args.assertions,
                        options=_options(args))
@@ -229,6 +251,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from repro.core.synth import synthesize
+    from repro.platform.report import overhead_report
+
     app = _build_app(args.source, [])
     original = synthesize(app, assertions="none")
     asserted = synthesize(app, assertions=args.assertions,
@@ -242,6 +267,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from repro.core.synth import synthesize
+    from repro.platform.report import execution_summary
+    from repro.runtime.hwexec import execute
+    from repro.runtime.swsim import software_sim
+
     feed = [int(v, 0) for v in args.feed.split(",")] if args.feed else []
     app = _build_app(args.source, feed)
     sim = software_sim(app)
@@ -295,6 +325,7 @@ def _retry_arg(args):
 
 
 def cmd_campaign(args) -> int:
+    from repro.core.synth import SynthesisOptions
     from repro.faults.campaign import builtin_targets, run_campaign
 
     if args.app not in builtin_targets():

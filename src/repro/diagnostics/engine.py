@@ -95,13 +95,12 @@ def synth_diagnostics(
         return check, check.to_dicts()
     diags = [d.to_dict() for d in check.diagnostics]  # warnings/notes
     try:
+        from repro.apps.csource import build_csource_app
         from repro.core.synth import SynthesisOptions, synthesize
-        from repro.lab.sweep import AppSpec, build_app
 
-        params: dict = {"source": source, "filename": filename}
-        if feed:
-            params["feed"] = tuple(feed)
-        app = build_app(AppSpec.make("csource", **params))
+        # the app a sweep ``csource`` point with these params builds
+        app = build_csource_app({"source": source, "filename": filename,
+                                 "feed": feed or ()})
         opts = SynthesisOptions(**(options or {}))
         synthesize(app, assertions=level, options=opts)
     except Exception as exc:

@@ -25,8 +25,9 @@ fields). How that pseudo-op becomes hardware is the subject of
 
 from __future__ import annotations
 
-import functools
 import pickle
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from pycparser import c_ast, c_generator
@@ -48,6 +49,9 @@ _CGEN = c_generator.CGenerator()
 #: distinct strict-mode units :func:`lower_source` keeps, pickled (a
 #: Figs 4/5 sweep lowers about 140, 2-25 KB each)
 _MEMO_UNITS = 512
+#: (source, filename, sorted defines) -> pickled module, in LRU order
+_MEMO: OrderedDict[tuple, bytes] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
 
 _BINOPS: dict[str, OpKind] = {
     "+": OpKind.ADD,
@@ -716,18 +720,44 @@ def lower_source(
 
     Without a ``sink`` (strict mode) the caller sees only the module or a
     raise, so each distinct unit is lowered once per process and every
-    call returns a fresh copy; errors are not memoized.
+    call returns a fresh copy; errors are not memoized. A collect-mode
+    call always lowers in full (its diagnostics are never replayed), and
+    when it ends without errors its module is the strict-mode one, so it
+    seeds that memo entry: checking a source and then synthesizing it
+    parses it once.
     """
-    if sink is None:
-        key = tuple(sorted(defines.items())) if defines else ()
-        return pickle.loads(_lowered_blob(source, filename, key))
-    return _lower(source, filename, defines, sink)
+    key = (source, filename, tuple(sorted(defines.items())) if defines else ())
+    if sink is not None:
+        module = _lower(source, filename, defines, sink)
+        if not sink.has_errors:
+            _remember(key, module)
+        return module
+    with _MEMO_LOCK:
+        blob = _MEMO.get(key)
+        if blob is not None:
+            _MEMO.move_to_end(key)
+    if blob is None:
+        blob = _remember(key, _lower(source, filename, defines,
+                                     DiagnosticSink(strict=True)))
+    return pickle.loads(blob)
 
 
-@functools.lru_cache(maxsize=_MEMO_UNITS)
-def _lowered_blob(source: str, filename: str, defines: tuple) -> bytes:
-    module = _lower(source, filename, dict(defines), DiagnosticSink(strict=True))
-    return pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+def _remember(key: tuple, module: IRModule) -> bytes:
+    """Memoize ``module`` pickled under ``key``, evicting the least
+    recently used unit beyond :data:`_MEMO_UNITS`; returns the blob."""
+    blob = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+    with _MEMO_LOCK:
+        _MEMO[key] = blob
+        _MEMO.move_to_end(key)
+        if len(_MEMO) > _MEMO_UNITS:
+            _MEMO.popitem(last=False)
+    return blob
+
+
+def clear_memo() -> None:
+    """Forget every memoized unit."""
+    with _MEMO_LOCK:
+        _MEMO.clear()
 
 
 def _lower(

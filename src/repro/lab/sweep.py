@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.apps.csource import build_csource_app
 from repro.core.synth import LEVELS, SynthesisOptions
 from repro.diagnostics.bundle import bundle_name, write_bundle
 from repro.errors import ReproError
@@ -86,22 +87,6 @@ def _build_pipeline(params: dict):
                           data=params.get("data"))
 
 
-def _build_csource(params: dict):
-    from repro.runtime.taskgraph import Application
-
-    app = Application(params.get("name", "csource"))
-    pd = app.add_c_process(params["source"],
-                           filename=params.get("filename", "sweep.c"))
-    streams = pd.stream_params
-    if len(streams) >= 2:
-        app.feed("in", f"{pd.name}.{streams[0]}",
-                 data=list(params.get("feed", ())))
-        app.sink("out", f"{pd.name}.{streams[1]}")
-    elif streams:
-        app.sink("out", f"{pd.name}.{streams[0]}")
-    return app
-
-
 #: app-spec kinds resolvable inside sweep workers (everything here must be
 #: buildable from plain JSON-able params, which keeps points picklable)
 APP_BUILDERS: dict[str, Callable[[dict], object]] = {
@@ -109,7 +94,7 @@ APP_BUILDERS: dict[str, Callable[[dict], object]] = {
     "edge": _build_edge,
     "tripledes": _build_tripledes,
     "pipeline": _build_pipeline,
-    "csource": _build_csource,
+    "csource": build_csource_app,
 }
 
 #: named SynthesisOptions variants for ablation axes

@@ -19,6 +19,7 @@ hits and one ``exec`` of an already-compiled code object.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,6 +71,10 @@ def clear_memo() -> None:
 
 
 def _default_cache():
+    """The process-wide lab cache, or None while ``REPRO_LAB_CACHE`` is
+    unset: that cache would be disabled, so ``repro.lab`` stays unloaded."""
+    if not os.environ.get("REPRO_LAB_CACHE"):
+        return None
     from repro.lab.bench import session_cache
 
     return session_cache()
