@@ -7,7 +7,8 @@ each point by a :func:`stable_fingerprint` over everything that can change
 the result — the canonical IR text of every process (i.e. the source), the
 task-graph wiring, every :class:`SynthesisOptions` field, the assertion
 level, the device model and the package version — and memoizes the
-expensive artifacts (synthesized image, resource estimate, Fmax report).
+expensive artifacts (synthesized images, per-process artifacts, and the
+point summaries a sweep journals).
 
 Properties:
 
@@ -20,15 +21,24 @@ Properties:
 * **thread-safe** — one handle may be shared across threads (the serve
   daemon's request pool hammers a single warm handle); get/put/evict and
   the stats counters are serialized by an internal lock;
-* **bounded** — an LRU sweep (by access time) evicts the oldest entries
-  beyond ``max_entries``;
+* **bounded** — each handle keeps an entry count (one directory scan on
+  its first ``put``, then +1 per new key and -1 per entry it drops); only
+  when that count passes ``max_entries`` does an LRU sweep (by access
+  time) evict the oldest entries and recount. Eviction is advisory: puts
+  by other processes leave the count stale, which costs at most one late
+  sweep;
 * **observable** — hit/miss/store/eviction counters are kept per handle
   and surfaced in sweep manifests and progress lines.
 
-Two cache granularities share the store:
+Three entry kinds share the store, in disjoint key namespaces:
 
-* **app-level** entries (:func:`cache_key`) memoize a whole synthesis
-  point — ``(image, resources, fmax)``;
+* **app-level** entries (:func:`cache_key`) memoize a synthesized image
+  for the callers that execute or return it (the fault campaign,
+  :func:`repro.lab.bench.synth`);
+* **point-summary** entries (:func:`summary_key`) memoize the flat
+  :func:`repro.platform.report.point_summary` dict a sweep point journals
+  — a few hundred bytes instead of the whole image, resources and Fmax
+  report it is computed from;
 * **process-level** entries (:func:`process_cache_key`) memoize one
   :class:`repro.core.synth.ProcessArtifact`, so editing one process of a
   multi-process app rebuilds only that process
@@ -73,6 +83,7 @@ __all__ = [
     "app_key_parts",
     "cache_key",
     "process_cache_key",
+    "summary_key",
 ]
 
 #: bump to invalidate every cached artifact on a format change
@@ -156,6 +167,17 @@ def cache_key(
         tuple(_stable(e) for e in extra),
     )
     return f"{fp:016x}"
+
+
+def summary_key(point_key: str) -> str:
+    """Hex key of one sweep point's memoized point summary.
+
+    Derived from the point's :func:`cache_key`, which already covers every
+    input. The ``"s"`` prefix keeps the namespace disjoint from the
+    app-level entries stored under the bare key, so a summary dict and a
+    whole image can never be served for one another.
+    """
+    return f"s{stable_fingerprint('point-summary', point_key):015x}"
 
 
 def process_cache_key(
@@ -306,6 +328,10 @@ class SynthesisCache:
         # not inherently thread-safe; the serve daemon shares a single
         # warm handle across its whole request pool, so serialize here
         self._lock = threading.RLock()
+        # entries in objects/ as this handle knows them: None until the
+        # first put() takes it with one scan; puts of new keys add, this
+        # handle's evictions and corrupt-entry drops subtract
+        self._count: int | None = None
         if self.root is not None:
             (self.root / "objects").mkdir(parents=True, exist_ok=True)
             (self.root / "leases").mkdir(parents=True, exist_ok=True)
@@ -352,6 +378,8 @@ class SynthesisCache:
                         getattr(self.stats, miss_field) + 1)
                 try:
                     os.unlink(path)
+                    if self._count is not None:
+                        self._count -= 1
                 except OSError:
                     pass
                 return None
@@ -364,11 +392,15 @@ class SynthesisCache:
             return obj
 
     def put(self, key: str, obj) -> None:
-        """Atomically store ``obj`` under ``key`` and run the LRU sweep."""
+        """Atomically store ``obj`` under ``key``; run the LRU sweep once
+        the entry count passes ``max_entries``."""
         with self._lock:
             if self.root is None:
                 return
             path = self._path(key)
+            if self._count is None:
+                self._count = self._scan_count()
+            new = not path.exists()
             fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
@@ -381,7 +413,10 @@ class SynthesisCache:
                     pass
                 raise
             self.stats.stores += 1
-            self._evict()
+            if new:
+                self._count += 1
+            if self._count > self.max_entries:
+                self._evict()
 
     def put_process(self, key: str, artifact) -> None:
         """Store one process artifact (same atomic path as :meth:`put`)."""
@@ -595,6 +630,7 @@ class SynthesisCache:
                 continue  # concurrently evicted by another handle
         entries.sort()
         over = len(entries) - self.max_entries
+        self._count = len(entries)
         for _, victim in list(entries):
             if over <= 0:
                 break
@@ -606,15 +642,19 @@ class SynthesisCache:
             try:
                 os.unlink(victim)
                 self.stats.evictions += 1
+                self._count -= 1
             except OSError:
                 pass
             over -= 1
+
+    def _scan_count(self) -> int:
+        return sum(1 for _ in self.root.glob("objects/*.pkl"))
 
     def __len__(self) -> int:
         with self._lock:
             if self.root is None:
                 return 0
-            return sum(1 for _ in self.root.glob("objects/*.pkl"))
+            return self._scan_count()
 
     def clear(self) -> None:
         with self._lock:
@@ -625,3 +665,4 @@ class SynthesisCache:
                     os.unlink(path)
                 except OSError:
                     pass
+            self._count = 0

@@ -21,7 +21,7 @@ from repro.apps.csource import build_csource_app
 from repro.core.synth import LEVELS, SynthesisOptions
 from repro.diagnostics.bundle import bundle_name, write_bundle
 from repro.errors import ReproError
-from repro.lab.cache import SynthesisCache, cache_key
+from repro.lab.cache import SynthesisCache, cache_key, summary_key
 from repro.lab.incremental import synthesize_incremental
 from repro.lab.executor import LabExecutor, PointOutcome
 from repro.lab.retry import RetryPolicy
@@ -248,7 +248,9 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
     with that many replicated lanes, recording ``lane_check`` = ``"ok"``
     only when every lane reproduces the scalar run bit-for-bit.
 
-    An app-level miss is filled *incrementally*
+    The point's cache entry is its :func:`point_summary` (under
+    :func:`repro.lab.cache.summary_key`), not the image: the record reads
+    nothing else. A miss is filled *incrementally*
     (:func:`repro.lab.incremental.synthesize_incremental` — only the
     processes whose per-process fingerprints miss are resynthesized) and
     under a fill lease (concurrent workers/daemons cold-starting the same
@@ -256,24 +258,29 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
     record reports ``resyntheses``/``proc_hits``/``proc_misses``/
     ``partial_rebuild`` for the incremental work and counts a
     lease-followed fill as a ``cache_hit`` (the point was not
-    synthesized here).
+    synthesized here). Lane validation on a hit rebuilds the image from
+    the per-process entries; that rebuild is not part of the record's
+    incremental accounting.
     """
     app = build_app(point.app)
     key = cache_key(app, point.level, point.options, point.device)
     t0 = time.monotonic()
     before = cache.stats.snapshot()
     inc_info: dict = {}
+    built = []
 
     def _produce():
         image, info = synthesize_incremental(
             app, point.level, options=point.options, cache=cache,
             device=point.device)
         inc_info.update(info)
+        built.append(image)
         resources = estimate_image(image, point.device)
         fmax = estimate_fmax(image, point.device, resources=resources)
-        return (image, resources, fmax)
+        return point_summary(image, point.device, resources=resources,
+                             fmax=fmax)
 
-    (image, resources, fmax), filled = cache.get_or_fill(key, _produce)
+    summary, filled = cache.get_or_fill(summary_key(key), _produce)
     record = {
         "point_id": point.point_id,
         "app": point.app.label,
@@ -291,6 +298,9 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
     if validate_lanes > 0:
         from repro.runtime.hwexec import LaneSpec, execute, execute_batch
 
+        image = built[0] if built else synthesize_incremental(
+            app, point.level, options=point.options, cache=cache,
+            device=point.device)[0]
         ref = _lane_signature(execute(image))
         batch = execute_batch(
             image, [LaneSpec() for _ in range(validate_lanes)])
@@ -300,8 +310,7 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
         record["lane_check"] = (
             "ok" if not bad else "divergent:lanes=" +
             ",".join(map(str, bad)))
-    record.update(point_summary(image, point.device,
-                                resources=resources, fmax=fmax))
+    record.update(summary)
     return record
 
 

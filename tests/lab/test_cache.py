@@ -260,3 +260,96 @@ def test_stats_counters_coherent_under_concurrent_updates(tmp_path):
         t.join(timeout=30)
     assert cache.stats.hits == n_threads * n_gets
     assert cache.stats.misses == n_threads * n_gets
+
+
+# ---- eviction cost: a kept entry count instead of a scan per put ----------
+
+def _count_object_scans(monkeypatch) -> list[str]:
+    """Record every glob over ``objects/`` (the only way the cache lists
+    its entries) from now on."""
+    from pathlib import Path
+
+    scans: list[str] = []
+    real_glob = Path.glob
+
+    def glob(self, pattern, *args, **kwargs):
+        if pattern.startswith("objects"):
+            scans.append(pattern)
+        return real_glob(self, pattern, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "glob", glob)
+    return scans
+
+
+def test_puts_below_the_bound_scan_objects_once(tmp_path, monkeypatch):
+    cache = SynthesisCache(tmp_path / "c", max_entries=100)
+    scans = _count_object_scans(monkeypatch)
+    for i in range(50):
+        cache.put(f"k{i}", i)
+    assert len(scans) == 1  # the first put's count, no eviction sweeps
+    assert cache.stats.evictions == 0
+    assert len(cache) == 50
+
+
+def test_crossing_the_bound_runs_one_eviction_sweep(tmp_path, monkeypatch):
+    import os
+    import time
+    cache = SynthesisCache(tmp_path / "c", max_entries=10)
+    now = time.time()
+    scans = _count_object_scans(monkeypatch)
+    for i in range(11):
+        before = len(scans)
+        cache.put(f"k{i:02d}", i)
+        os.utime(cache._path(f"k{i:02d}"), (now + i, now + i))
+        # one count on the first put, one sweep on the put past the bound
+        assert len(scans) - before == (1 if i in (0, 10) else 0), i
+    monkeypatch.undo()
+    assert cache.stats.evictions == 1
+    assert len(cache) == cache.max_entries
+    assert cache.get("k00") is None and cache.get("k10") == 10
+
+
+def test_overwriting_a_key_does_not_grow_the_count(tmp_path, monkeypatch):
+    cache = SynthesisCache(tmp_path / "c", max_entries=3)
+    scans = _count_object_scans(monkeypatch)
+    for i in range(20):
+        cache.put(f"k{i % 3}", i)
+    assert len(scans) == 1
+    assert cache.stats.evictions == 0 and cache.stats.stores == 20
+
+
+def test_corrupt_drop_and_clear_keep_the_count_honest(tmp_path, monkeypatch):
+    cache = SynthesisCache(tmp_path / "c", max_entries=3)
+    scans = _count_object_scans(monkeypatch)
+    for key in ("a", "b", "c"):
+        cache.put(key, key)
+    cache._path("c").write_bytes(b"not a pickle")
+    assert cache.get("c") is None  # dropped: the count falls to 2
+    cache.put("d", "d")  # back to 3, still within the bound
+    assert len(scans) == 1 and cache.stats.evictions == 0
+    cache.clear()
+    for key in ("e", "f", "g"):
+        cache.put(key, key)
+    assert len(scans) == 1 + 1  # clear()'s own listing, no sweep
+    assert cache.stats.evictions == 0
+    assert len(cache) == 3
+
+
+def test_a_stale_count_costs_one_late_sweep(tmp_path, monkeypatch):
+    """Another handle's puts leave this handle's count low; the cache can
+    overshoot until the count catches up, then one sweep recounts."""
+    a = SynthesisCache(tmp_path / "c", max_entries=6)
+    b = SynthesisCache(tmp_path / "c", max_entries=6)
+    for i in range(3):
+        a.put(f"a{i}", i)
+    for i in range(3):
+        b.put(f"b{i}", i)
+    scans = _count_object_scans(monkeypatch)
+    for i in range(3, 6):
+        a.put(f"a{i}", i)  # a believes 4, 5, 6 entries
+    assert scans == [] and a.stats.evictions == 0
+    a.put("a6", 6)  # a's count passes the bound: one recounting sweep
+    assert len(scans) == 1
+    monkeypatch.undo()
+    assert len(a) == a.max_entries
+    assert a.stats.evictions == 10 - 6

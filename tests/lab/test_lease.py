@@ -19,6 +19,26 @@ from repro.lab.cache import SynthesisCache
 from repro.lab.chaos import ChaosSpec
 
 
+class _WaitGate:
+    """RetryPolicy stand-in for ``acquire_fill``: records the threads
+    backing off on a held lease and sets ``all_waiting`` once ``n`` of
+    them are, so a filler can hold its lease until every rival provably
+    waits (a handshake instead of a sleep-timed window)."""
+
+    def __init__(self, n):
+        self.n = n
+        self.waiting = set()
+        self.lock = threading.Lock()
+        self.all_waiting = threading.Event()
+
+    def delay(self, attempt, token=None):
+        with self.lock:
+            self.waiting.add(threading.get_ident())
+            if len(self.waiting) >= self.n:
+                self.all_waiting.set()
+        return 0.005
+
+
 def _env_with(**kw):
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[2]
@@ -79,7 +99,11 @@ def test_wedged_owner_is_taken_over_after_stale_window(tmp_path):
     cache = SynthesisCache(tmp_path / "c", lease_stale_s=0.05)
     first = cache.acquire_fill("cafe0003")
     assert first.owned and first.epoch == 1
-    time.sleep(0.1)
+    # age the lease past the stale window by backdating its recorded
+    # claim time (the clock the staleness check reads), not by sleeping
+    info = json.loads(first.path.read_text())
+    info["t"] -= 1.0
+    first.path.write_text(json.dumps(info))
     second = cache.acquire_fill("cafe0003")
     assert second is not None and second.owned
     assert second.epoch == 2
@@ -126,15 +150,17 @@ def test_thread_fleet_performs_exactly_one_fill(tmp_path):
     fills = []
     results = []
     barrier = threading.Barrier(6)
+    gate = _WaitGate(5)
 
     def produce():
         fills.append(threading.get_ident())
-        time.sleep(0.2)
+        # hold the lease until the five rivals are all backing off on it
+        assert gate.all_waiting.wait(timeout=30)
         return {"value": 99}
 
     def worker():
         barrier.wait()
-        obj, filled = cache.get_or_fill("beef0004", produce)
+        obj, filled = cache.get_or_fill("beef0004", produce, retry=gate)
         results.append((obj, filled))
 
     threads = [threading.Thread(target=worker) for _ in range(6)]
@@ -151,36 +177,53 @@ def test_thread_fleet_performs_exactly_one_fill(tmp_path):
 def test_process_fleet_performs_exactly_one_fill(tmp_path):
     """Cross-process cold start: 3 OS processes sharing only the cache
     directory race get_or_fill on one key; exactly one runs the producer
-    (proved by marker files), the others wait out the lease and read."""
+    (proved by marker files), the others wait out the lease and read.
+
+    Pipe handshake: the filler announces ``filling`` and holds its lease
+    until the parent answers on stdin, which it does only after both
+    rivals have announced ``waiting`` from their lease backoff."""
     root = tmp_path / "shared"
     markers = tmp_path / "markers"
     markers.mkdir()
     prog = (
-        "import json, os, time\n"
+        "import json, os, sys\n"
         "from repro.lab.cache import SynthesisCache\n"
         f"c = SynthesisCache({str(root)!r})\n"
+        "class Announce:\n"
+        "    said = False\n"
+        "    def delay(self, attempt, token=None):\n"
+        "        if not self.said:\n"
+        "            self.said = True\n"
+        "            print('waiting', flush=True)\n"
+        "        return 0.005\n"
         "def produce():\n"
         f"    open(os.path.join({str(markers)!r}, str(os.getpid())),"
         " 'w').write('fill')\n"
-        "    time.sleep(1.0)\n"
+        "    print('filling', flush=True)\n"
+        "    sys.stdin.readline()\n"
         "    return [7, 7, 7]\n"
-        "obj, filled = c.get_or_fill('f00d0005', produce)\n"
+        "obj, filled = c.get_or_fill('f00d0005', produce, retry=Announce())\n"
         "print(json.dumps({'obj': obj, 'filled': filled,"
         " 'waits': c.stats.lease_waits}))\n"
     )
     procs = [subprocess.Popen([sys.executable, "-c", prog],
-                              stdout=subprocess.PIPE, text=True,
-                              env=_env_with())
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              text=True, env=_env_with())
              for _ in range(3)]
+    # every process's first line says which side of the lease it is on;
+    # the filler blocks on stdin, so both rivals must find it held
+    first = [p.stdout.readline().strip() for p in procs]
+    assert sorted(first) == ["filling", "waiting", "waiting"]
+    for p in procs:
+        p.stdin.write("go\n")
+        p.stdin.flush()
     outs = [json.loads(p.communicate(timeout=60)[0]) for p in procs]
     assert all(p.returncode == 0 for p in procs)
     assert len(list(markers.iterdir())) == 1
     assert sum(o["filled"] for o in outs) == 1
     assert all(o["obj"] == [7, 7, 7] for o in outs)
-    # at least one loser waited on the winner's lease (a very slow
-    # machine could start a worker after the fill completed — that
-    # worker hits clean and never waits, hence >= 1, not == 2)
-    assert sum(o["waits"] for o in outs) >= 1
+    # both losers waited on the winner's lease
+    assert sum(o["waits"] for o in outs) == 2
 
 
 # ---- eviction safety ------------------------------------------------------

@@ -4,12 +4,16 @@ import pytest
 
 import repro.lab.sweep as sweep_mod
 from repro.cli import main
-from repro.lab.shard import VOLATILE_RECORD_FIELDS
+from repro.lab.cache import SynthesisCache
+from repro.lab.shard import VOLATILE_RECORD_FIELDS, canonical_record
 from repro.lab.sweep import (
     AppSpec,
     SweepError,
+    SweepPoint,
     SweepSpec,
+    build_app,
     evaluate_point,
+    evaluate_point_cached,
     run_sweep,
 )
 
@@ -204,6 +208,84 @@ def test_parallel_sweep_matches_serial(tmp_path):
         b = {k: v for k, v in pooled.records[pid].items() if k not in strip}
         assert a == b, pid
     assert serial.render() == pooled.render()
+
+
+# ---- the point-summary cache tier ----------------------------------------
+
+@pytest.mark.parametrize("app", [
+    AppSpec.make("tripledes"), AppSpec.make("loopback", n=8),
+], ids=lambda a: a.label)
+def test_cached_records_equal_the_uncached_point_summary(tmp_path, app):
+    """Cold and warm records agree, and both carry exactly what
+    ``point_summary`` reports for a plain, uncached synthesis."""
+    import pickle
+
+    from repro.core.synth import synthesize
+    from repro.lab.cache import summary_key
+    from repro.platform.report import point_summary
+
+    point = SweepPoint(point_id="p", app=app, level="optimized")
+    cache = SynthesisCache(tmp_path / "c")
+    cold = evaluate_point_cached(point, cache)
+    warm = evaluate_point_cached(point, SynthesisCache(tmp_path / "c"))
+    assert cold["cache_hit"] is False and warm["cache_hit"] is True
+    assert canonical_record(cold) == canonical_record(warm)
+    expected = point_summary(synthesize(build_app(app), "optimized"),
+                             point.device)
+    for rec in (cold, warm):
+        assert {k: rec[k] for k in expected} == expected
+    # the point's entry is the summary dict itself, never an image
+    raw = cache._path(summary_key(cold["key"])).read_bytes()
+    assert b"HardwareImage" not in raw
+    entry = pickle.loads(raw)
+    assert type(entry) is dict and entry == expected
+    assert not cache._path(cold["key"]).exists()
+
+
+def test_sweep_point_and_bench_synth_keep_their_payload_shapes(
+        tmp_path, monkeypatch):
+    """``lab.bench.synth`` stores an image under the bare point key; a
+    sweep point on the same app, level and cache directory must neither
+    read that image nor overwrite it with its summary."""
+    from repro.lab import bench
+    from repro.runtime.hwexec import HardwareImage
+
+    monkeypatch.setenv(bench.CACHE_ENV, str(tmp_path / "c"))
+    bench.reset_session_cache()
+    try:
+        point = SweepPoint(point_id="p", app=AppSpec.make("loopback", n=3),
+                           level="optimized")
+        image = bench.synth(build_app(point.app), "optimized")
+        assert isinstance(image, HardwareImage)
+        rec = evaluate_point_cached(point, SynthesisCache(tmp_path / "c"))
+        assert rec["cache_hit"] is False  # the image entry is not its key
+        again = bench.synth(build_app(point.app), "optimized")
+        assert isinstance(again, HardwareImage)
+        assert bench.session_cache().stats.hits == 1
+        warm = evaluate_point_cached(point, SynthesisCache(tmp_path / "c"))
+        assert warm["cache_hit"] is True
+        assert canonical_record(warm) == canonical_record(rec)
+    finally:
+        bench.reset_session_cache()
+
+
+def test_lane_validation_on_a_summary_hit_rebuilds_the_image(tmp_path):
+    """Only ``validate_lanes`` needs an image; on a hit it is rebuilt from
+    the per-process entries without touching the record's accounting."""
+    point = SweepPoint(point_id="p", app=AppSpec.make("loopback", n=3),
+                       level="optimized")
+    cold = evaluate_point_cached(point, SynthesisCache(tmp_path / "c"))
+    cache = SynthesisCache(tmp_path / "c")
+    warm = evaluate_point_cached(point, cache, validate_lanes=2)
+    assert warm["cache_hit"] is True
+    assert warm["lane_check"] == "ok" and warm["validate_lanes"] == 2
+    assert (warm["resyntheses"], warm["proc_hits"], warm["proc_misses"],
+            warm["partial_rebuild"]) == (0, 0, 0, False)
+    assert warm["cache_stats"]["proc_hits"] == 0
+    assert cache.stats.proc_hits == 3 and cache.stats.proc_misses == 0
+    lanes = {"validate_lanes", "lane_check"}
+    assert {k: v for k, v in canonical_record(warm).items()
+            if k not in lanes} == canonical_record(cold)
 
 
 def test_evaluate_point_record_shape(tmp_path):
