@@ -38,10 +38,5 @@ def test_sim_backend_speedup(benchmark):
     assert by_name["tripledes"]["speedup"] > 4.0
     assert by_name["edge_detect"]["speedup"] > 4.0
     assert doc["geomean_speedup"] > 4.0
-    # acceptance for the batched (SoA) execution mode: one
-    # execute_batch call must beat the interpreter seed loop it
-    # replaces by >=5x on the multi-seed workload, and still beat the
-    # scalar *compiled* loop (dispatch amortization, not just codegen)
-    batch = by_name["loopback_batch"]
-    assert batch["speedup"] > 5.0
-    assert batch["batch_speedup"] > 1.0
+    assert sorted(by_name) == ["edge_detect", "loopback3", "rtl_kernel",
+                               "tripledes"]

@@ -429,7 +429,6 @@ def cmd_sweep(args) -> int:
             timeout=args.timeout,
             shard=_shard_arg(args),
             retry=_retry_arg(args),
-            validate_lanes=args.validate_lanes,
         )
     except KeyboardInterrupt:
         print("sweep interrupted; rerun the same command to resume",
@@ -485,7 +484,6 @@ def cmd_difftest(args) -> int:
         max_cycles=args.max_cycles,
         reduce=not args.no_reduce,
         sim_backend=args.sim_backend,
-        batch_lanes=args.batch_lanes,
     )
     try:
         result = run_difftest_campaign(
@@ -868,9 +866,9 @@ def main(argv: list[str] | None = None) -> int:
                    choices=("interp", "compiled"),
                    help="simulation backend for scenario execution")
     p.add_argument("--batch-lanes", type=int, default=1, metavar="N",
-                   help="run up to N scenarios of one image as lanes of "
-                        "the batched simulator (in-process; ignores "
-                        "--jobs); 1 keeps the scalar path")
+                   help="run the scenarios that share an image in-process, "
+                        "N per group, one scalar run each (ignores "
+                        "--jobs); 1 keeps the per-cell worker path")
     p.add_argument("--store", default=None, metavar="DIR",
                    help="journal cells into this resumable result store")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
@@ -908,10 +906,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="per-point timeout")
     p.add_argument("--no-resume", action="store_true",
                    help="discard previous results for this sweep")
-    p.add_argument("--validate-lanes", type=int, default=0, metavar="N",
-                   help="execute every point with N batched replication "
-                        "lanes and check them bit-for-bit against a "
-                        "scalar run (journaled as lane_check)")
     p.add_argument("--json", action="store_true",
                    help="print one JSON summary object (manifest + stats + "
                         "records) instead of the table — the serve "
@@ -952,10 +946,6 @@ def main(argv: list[str] | None = None) -> int:
                    choices=("interp", "compiled"),
                    help="'compiled' adds the repro.simc specialized "
                         "simulators as strict lockstep legs")
-    p.add_argument("--batch-lanes", type=int, default=0, metavar="N",
-                   help="append a scalar-vs-batched phase running N feed "
-                        "variants per seed program through the batched "
-                        "executor (0 disables)")
     _fabric_flags(p)
     p.set_defaults(func=cmd_difftest)
 

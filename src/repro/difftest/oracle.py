@@ -30,7 +30,6 @@ makes assertion behaviour itself differential-tested.
 from __future__ import annotations
 
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -67,9 +66,8 @@ class DifftestError(ReproError):
 class Divergence:
     """First observable disagreement between two execution models."""
 
-    # 'interp-vs-cyclemodel' | 'cyclemodel-vs-rtl' | 'scalar-vs-batched'
-    # (plus the strict compiled legs 'cyclemodel-vs-compiled' /
-    # 'rtl-vs-compiled')
+    # 'interp-vs-cyclemodel' | 'cyclemodel-vs-rtl' (plus the strict
+    # compiled legs 'cyclemodel-vs-compiled' / 'rtl-vs-compiled')
     phase: str
     kind: str   # 'stream-data' | 'stream-count' | 'cycle-count' | 'hang' | 'error'
     message: str
@@ -156,8 +154,6 @@ class DiffReport:
     cm_cycles: int = 0
     rtl_cycles: int = 0
     assertions: int = 0  # instrumented assertion count
-    #: lanes checked by the ``scalar-vs-batched`` phase (0 = phase off)
-    batch_lanes: int = 0
     #: last :data:`REG_WINDOW` register-file snapshots before a
     #: cyclemodel-vs-rtl divergence (empty when the run agreed)
     reg_window: list[dict] = field(default_factory=list)
@@ -243,7 +239,6 @@ def run_difftest(
     max_cycles: int = 200_000,
     cache=None,
     sim_backend: str = "interp",
-    batch_lanes: int = 0,
 ) -> DiffReport:
     """Run ``source`` through all three models; report the first divergence.
 
@@ -261,25 +256,11 @@ def run_difftest(
     compiled legs are constructed in strict mode: a design the code
     generator cannot specialize is a harness error (RPR-Y008), not a
     silent fallback.
-
-    ``batch_lanes >= 1`` appends a ``scalar-vs-batched`` phase: the
-    program runs once through the structure-of-arrays batched executor
-    (:class:`repro.simc.schedgen.BatchedProcessExec`) with ``batch_lanes``
-    lanes — lane 0 replays the original feed, every other lane a
-    deterministic seed-derived perturbation of it — and each lane's
-    outputs are checked against an interpreter reference for that lane's
-    feed. The full scalar cycle model re-runs only on lanes that diverge,
-    to pin whether the batched backend or the underlying model is wrong.
-    Like the compiled legs, the batched executor is strict: a design it
-    cannot specialize is a harness error (RPR-Y011).
     """
     if sim_backend not in ("interp", "compiled"):
         raise DifftestError(
             f"unknown sim backend {sim_backend!r}; expected "
             "interp/compiled", code="RPR-Y009")
-    if batch_lanes < 0:
-        raise DifftestError(
-            f"batch_lanes must be >= 0, got {batch_lanes}", code="RPR-Y010")
     func, n_asserts = _prepare(source, filename)
     reads, writes = _stream_roles(func)
     if len(reads) > 1:
@@ -354,145 +335,7 @@ def run_difftest(
                   report, sim_backend=sim_backend)
     report.divergence = d
 
-    # -- phase 3: scalar vs batched lanes -----------------------------------
-    if d is None and batch_lanes >= 1:
-        report.batch_lanes = batch_lanes
-        report.divergence = _batched_phase(
-            cp, reads, writes, stimulus, out_streams, max_cycles,
-            batch_lanes)
     return report
-
-
-def _lane_feeds(base_feed: list[int], lanes: int) -> list[list[int]]:
-    """Derive the per-lane stimulus for the scalar-vs-batched phase.
-
-    Lane 0 replays the original feed untouched; every other lane gets a
-    deterministic perturbation (word XORs, occasional tail truncation)
-    seeded only by the lane index and the feed itself, so the same
-    (program, lanes) pair always exercises the same lane set.
-    """
-    feeds = [list(base_feed)]
-    for i in range(1, lanes):
-        rng = random.Random(
-            stable_fingerprint("difftest-batch-lane", i, tuple(base_feed)))
-        feed = [v ^ rng.getrandbits(8) for v in base_feed]
-        if feed and rng.random() < 0.25:
-            del feed[rng.randrange(1, len(feed) + 1):]
-        feeds.append(feed)
-    return feeds
-
-
-def _batched_phase(cp: CompiledProcess, reads, writes, stimulus,
-                   out_streams, max_cycles: int,
-                   lanes: int) -> Divergence | None:
-    """Run ``lanes`` feed variants through one batched executor and check
-    every lane against an interpreter reference for its feed; re-run the
-    scalar cycle model only on diverging lanes to localize the bug."""
-    from repro.simc.schedgen import BatchedProcessExec
-
-    func = cp.hw_func
-    in_stream = next(iter(reads)) if reads else None
-    base_feed = list(stimulus.get(in_stream, ())) if in_stream else []
-    lane_feeds = _lane_feeds(base_feed, lanes)
-    lane_stims = [
-        ({in_stream: f} if in_stream else {}) for f in lane_feeds
-    ]
-    lane_channels = [
-        _fresh_channels(func, reads, writes, st) for st in lane_stims
-    ]
-    try:
-        bx = BatchedProcessExec(cp.schedule, lane_channels)
-    except SimCompileError as exc:
-        raise DifftestError(
-            f"batched backend rejected design: {exc}", code="RPR-Y011"
-        ) from exc
-
-    statuses: list = [None] * lanes
-    live = list(range(lanes))
-    while live:
-        try:
-            bx.tick_lanes(live, statuses)
-        except SimulationError as exc:
-            return Divergence(
-                phase="scalar-vs-batched", kind="error",
-                message=f"batched executor raised: {exc}",
-                values={"lanes": live})
-        live = [l for l in live
-                if not bx.lanes[l].done and bx.lanes[l].cycles < max_cycles]
-
-    for l in range(lanes):
-        pe_b = bx.lanes[l]
-        try:
-            _, sw_out = run_to_completion(func, lane_stims[l])
-        except SimulationError as exc:
-            raise DifftestError(
-                f"interpreter failed on lane {l} feed: {exc}",
-                code="RPR-Y005") from exc
-        mismatch = not pe_b.done
-        if not mismatch:
-            for s in out_streams:
-                ch = lane_channels[l][s]
-                ref = [truncate(v, ch.width) for v in sw_out.get(s, [])]
-                if list(ch.queue) != ref:
-                    mismatch = True
-                    break
-        if not mismatch:
-            continue
-        # scalar oracle, only here: replay this lane's feed through the
-        # tree-walking cycle model and compare it field-for-field with the
-        # batched lane — any difference is a batched-backend bug
-        ch_s = _fresh_channels(func, reads, writes, lane_stims[l])
-        pe_s = ProcessExec(cp.schedule, ch_s)
-        err_s: str | None = None
-        try:
-            while not pe_s.done and pe_s.cycles < max_cycles:
-                pe_s.tick()
-        except SimulationError as exc:
-            err_s = str(exc)
-        diffs = {}
-        if err_s is not None:
-            diffs["error"] = {"scalar": err_s, "batched": None}
-        if pe_s.done != pe_b.done:
-            diffs["done"] = {"scalar": pe_s.done, "batched": pe_b.done}
-        if pe_s.cycles != pe_b.cycles:
-            diffs["cycles"] = {"scalar": pe_s.cycles,
-                               "batched": pe_b.cycles}
-        if pe_s.stall_cycles != pe_b.stall_cycles:
-            diffs["stalls"] = {"scalar": pe_s.stall_cycles,
-                               "batched": pe_b.stall_cycles}
-        if pe_s.env != pe_b.env:
-            names = sorted(k for k in set(pe_s.env) | set(pe_b.env)
-                           if pe_s.env.get(k) != pe_b.env.get(k))
-            diffs["env"] = {"signal": names[0],
-                            "scalar": pe_s.env.get(names[0]),
-                            "batched": pe_b.env.get(names[0])}
-        for s in out_streams:
-            qa = list(ch_s[s].queue)
-            qb = list(lane_channels[l][s].queue)
-            if qa != qb:
-                diffs[f"stream:{s}"] = {"scalar": len(qa),
-                                        "batched": len(qb)}
-        if diffs:
-            what = sorted(diffs)[0]
-            return Divergence(
-                phase="scalar-vs-batched", kind="backend",
-                message=f"lane {l}: batched executor diverged from scalar "
-                        f"cycle model ({', '.join(sorted(diffs))})",
-                index=l, cycle=pe_b.cycles,
-                signal=diffs.get("env", {}).get("signal"),
-                values={"lane": l, "first": what, **diffs[what]},
-            )
-        # batched agrees with scalar — the derived feed exposed a model
-        # bug (cycle model vs interpreter), not a batching bug
-        return Divergence(
-            phase="scalar-vs-batched", kind="lane-reference",
-            message=f"lane {l}: cycle model (scalar and batched agree) "
-                    "diverges from the interpreter on a derived feed",
-            index=l, cycle=pe_b.cycles,
-            values={"lane": l, "feed_len": len(lane_feeds[l]),
-                    "done": pe_b.done},
-        )
-    return None
 
 
 def _lockstep(cp: CompiledProcess, reads, writes, stimulus, out_streams,

@@ -57,22 +57,15 @@ class DifftestSpec:
     #: "interp" runs the classic three-way oracle; "compiled" adds the
     #: :mod:`repro.simc` specialized simulators as strict lockstep legs
     sim_backend: str = "interp"
-    #: >= 1 appends the ``scalar-vs-batched`` phase with this many lanes
-    #: per seed program (lane 0 = the original feed); 0 disables it
-    batch_lanes: int = 0
 
     def seed_list(self) -> list[int]:
         lo, hi = self.seeds
         return list(range(lo, hi))
 
     def fingerprint(self) -> str:
-        parts = ["difftest", self.name, self.seeds, self.gen.key_parts(),
-                 self.max_cycles, self.sim_backend]
-        # appended only when enabled so pre-existing run ids (and their
-        # resumable journals) keep resolving for non-batched campaigns
-        if self.batch_lanes:
-            parts.append(("batch-lanes", self.batch_lanes))
-        fp = stable_fingerprint(*parts)
+        fp = stable_fingerprint("difftest", self.name, self.seeds,
+                                self.gen.key_parts(), self.max_cycles,
+                                self.sim_backend)
         return f"{fp:012x}"
 
     def run_id(self) -> str:
@@ -97,7 +90,7 @@ def evaluate_seed(args: tuple) -> dict:
     report = run_difftest(
         prog.render(), prog.feed, filename=f"seed{seed}.c",
         max_cycles=spec.max_cycles, cache=cache,
-        sim_backend=spec.sim_backend, batch_lanes=spec.batch_lanes,
+        sim_backend=spec.sim_backend,
     )
     record = {
         "point_id": f"seed-{seed}",
@@ -112,8 +105,6 @@ def evaluate_seed(args: tuple) -> dict:
         "sim_backend": spec.sim_backend,
         "elapsed_s": round(time.monotonic() - t0, 4),
     }
-    if spec.batch_lanes:
-        record["batch_lanes"] = report.batch_lanes
     if report.ok:
         return record
 
@@ -130,8 +121,7 @@ def evaluate_seed(args: tuple) -> dict:
             r = run_difftest(candidate.render(), candidate.feed,
                              filename=f"seed{seed}-reduce.c",
                              max_cycles=spec.max_cycles, cache=cache,
-                             sim_backend=spec.sim_backend,
-                             batch_lanes=spec.batch_lanes)
+                             sim_backend=spec.sim_backend)
             return same_bug(original, r.divergence)
 
         reduced = reduce_program(prog, still_fails,
@@ -139,8 +129,7 @@ def evaluate_seed(args: tuple) -> dict:
         final = run_difftest(reduced.render(), reduced.feed,
                              filename=f"seed{seed}-reduced.c",
                              max_cycles=spec.max_cycles, cache=cache,
-                             sim_backend=spec.sim_backend,
-                             batch_lanes=spec.batch_lanes)
+                             sim_backend=spec.sim_backend)
         record["reduced_source"] = reduced.render()
         record["reduced_feed"] = list(reduced.feed)
         record["reduced_stmts"] = reduced.stmt_count()

@@ -585,16 +585,15 @@ def _batched_outcomes(
     batch_lanes: int,
     sim_backend: str | None = None,
 ) -> list[RunOutcome]:
-    """Execute pending (scenario, level) cells lane-parallel.
+    """Execute pending (scenario, level) cells in-process, by image.
 
     Cells are grouped by (level, translation faults) — every group shares
-    one synthesized image, and the group's scenarios become lanes of one
-    :func:`repro.runtime.hwexec.execute_batch` call (chunked to
-    ``batch_lanes``). Per-lane fault injection, watchdog classification
-    and quarantine are bit-identical to the scalar path, so the returned
-    outcomes (aligned with ``pending``) match a ``jobs=1`` scalar run.
+    one synthesized image, loaded once — and the group's scenarios run as
+    the lanes of :func:`repro.runtime.hwexec.execute_batch` calls (chunked
+    to ``batch_lanes``), one scalar run per lane. The returned outcomes
+    (aligned with ``pending``) therefore match a ``jobs=1`` scalar run.
     """
-    from repro.runtime.hwexec import LaneSpec, execute_batch
+    from repro.runtime.hwexec import execute_batch
 
     outcomes: dict[int, RunOutcome] = {}
     groups: dict[tuple[str, str], list[int]] = {}
@@ -637,11 +636,10 @@ def _batched_outcomes(
             continue
         for start in range(0, len(idxs), batch_lanes):
             chunk = idxs[start:start + batch_lanes]
-            specs = [LaneSpec(faults=pending[i][0].runtime_faults)
-                     for i in chunk]
             try:
                 results = execute_batch(
-                    image, specs, watchdog=target.watchdog,
+                    image, [pending[i][0].runtime_faults for i in chunk],
+                    watchdog=target.watchdog,
                     sim_backend=sim_backend,
                 )
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
@@ -709,12 +707,11 @@ def run_campaign(
     directory; ``repro merge`` folds the slices back together.
     ``retry``/``timeout`` configure executor fault tolerance.
 
-    ``batch_lanes > 1`` switches execution to the in-process batched
-    simulator: cells sharing an image (same level and translation faults)
-    run as lanes of one :func:`repro.runtime.hwexec.execute_batch` call —
-    one structure-of-arrays tick function advances every scenario of a
-    level in lockstep — instead of fanning out across ``jobs`` workers
-    (``jobs``/``retry``/``timeout`` are ignored in this mode).
+    ``batch_lanes > 1`` runs the grid in-process, grouped by image: cells
+    sharing an image (same level and translation faults) run through
+    :func:`repro.runtime.hwexec.execute_batch`, ``batch_lanes`` at a
+    time, one scalar run each, instead of fanning out across ``jobs``
+    workers (``jobs``/``retry``/``timeout`` are ignored in this mode).
     Classification, journaling and resume semantics are unchanged and the
     matrix is bit-identical to a scalar run of the same seed.
     """

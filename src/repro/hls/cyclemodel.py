@@ -438,27 +438,6 @@ class ProcessExec:
             self._enter_block(ps.exit_block)
         return "active"
 
-    # ---- helpers shared with the compiled/batched backends -----------------
-
-    def _sc_div(self, a: int, b: int) -> int:
-        """C truncating division (referenced from generated simc code)."""
-        if b == 0:
-            raise SimulationError(
-                f"{self.name}: division by zero", code="RPR-X010")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return q
-
-    def _sc_mod(self, a: int, b: int) -> int:
-        if b == 0:
-            raise SimulationError(
-                f"{self.name}: division by zero", code="RPR-X010")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return a - q * b
-
     # ---- fault / watchdog hooks -------------------------------------------
 
     def upset_register(self, reg_index: int, bit: int) -> tuple[str, int]:

@@ -209,30 +209,7 @@ class SweepSpec:
 # ---- point evaluation (runs inside workers) ---------------------------------
 
 
-def _lane_signature(result) -> dict:
-    """Everything a batched lane must reproduce bit-for-bit from a scalar
-    run of the same image (``process_stats`` minus the ``backend`` tag,
-    which legitimately differs between the two executors)."""
-    return {
-        "completed": result.completed,
-        "cycles": result.cycles,
-        "reason": result.reason,
-        "outputs": result.outputs,
-        "stderr": list(result.stderr),
-        "failures": [(p, repr(s)) for p, s in result.failures],
-        "aborted_by": repr(result.aborted_by),
-        "first_failure_cycle": result.first_failure_cycle,
-        "quarantined": list(result.quarantined),
-        "process_stats": {
-            name: {k: v for k, v in st.items() if k != "backend"}
-            for name, st in result.process_stats.items()
-        },
-        "fault_events": list(result.fault_events),
-    }
-
-
-def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
-                          validate_lanes: int = 0) -> dict:
+def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache) -> dict:
     """Evaluate one point through an existing cache handle.
 
     This is the in-process reuse seam: sweep workers call it with a fresh
@@ -242,11 +219,6 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
     Returns a JSON-able record whose ``cache_stats`` field is the *delta*
     this evaluation contributed (for a fresh handle that equals the
     handle's full stats, so journaled records are unchanged).
-
-    ``validate_lanes > 0`` additionally executes the synthesized image
-    once scalar and once through :func:`repro.runtime.hwexec.execute_batch`
-    with that many replicated lanes, recording ``lane_check`` = ``"ok"``
-    only when every lane reproduces the scalar run bit-for-bit.
 
     The point's cache entry is its :func:`point_summary` (under
     :func:`repro.lab.cache.summary_key`), not the image: the record reads
@@ -258,23 +230,19 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
     record reports ``resyntheses``/``proc_hits``/``proc_misses``/
     ``partial_rebuild`` for the incremental work and counts a
     lease-followed fill as a ``cache_hit`` (the point was not
-    synthesized here). Lane validation on a hit rebuilds the image from
-    the per-process entries; that rebuild is not part of the record's
-    incremental accounting.
+    synthesized here).
     """
     app = build_app(point.app)
     key = cache_key(app, point.level, point.options, point.device)
     t0 = time.monotonic()
     before = cache.stats.snapshot()
     inc_info: dict = {}
-    built = []
 
     def _produce():
         image, info = synthesize_incremental(
             app, point.level, options=point.options, cache=cache,
             device=point.device)
         inc_info.update(info)
-        built.append(image)
         resources = estimate_image(image, point.device)
         fmax = estimate_fmax(image, point.device, resources=resources)
         return point_summary(image, point.device, resources=resources,
@@ -295,21 +263,6 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
         "cache_stats": cache.stats.delta(before),
         "elapsed_s": round(time.monotonic() - t0, 4),
     }
-    if validate_lanes > 0:
-        from repro.runtime.hwexec import LaneSpec, execute, execute_batch
-
-        image = built[0] if built else synthesize_incremental(
-            app, point.level, options=point.options, cache=cache,
-            device=point.device)[0]
-        ref = _lane_signature(execute(image))
-        batch = execute_batch(
-            image, [LaneSpec() for _ in range(validate_lanes)])
-        bad = [i for i, r in enumerate(batch)
-               if _lane_signature(r) != ref]
-        record["validate_lanes"] = validate_lanes
-        record["lane_check"] = (
-            "ok" if not bad else "divergent:lanes=" +
-            ",".join(map(str, bad)))
     record.update(summary)
     return record
 
@@ -317,14 +270,11 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache,
 def evaluate_point(args: tuple) -> dict:
     """Worker entry: evaluate one point through the synthesis cache.
 
-    ``args`` is ``(point, cache_root)`` or ``(point, cache_root,
-    validate_lanes)``; module-level and tuple-packed so it pickles into
-    ProcessPool workers. Returns a JSON-able record.
+    ``args`` is ``(point, cache_root)``; module-level and tuple-packed so
+    it pickles into ProcessPool workers. Returns a JSON-able record.
     """
-    point, cache_root, *rest = args
-    validate_lanes = rest[0] if rest else 0
-    return evaluate_point_cached(point, SynthesisCache(cache_root),
-                                 validate_lanes=validate_lanes)
+    point, cache_root = args
+    return evaluate_point_cached(point, SynthesisCache(cache_root))
 
 
 def point_bundle_context(point: SweepPoint) -> tuple[dict, str | None]:
@@ -417,7 +367,6 @@ def run_sweep(
     progress=None,
     shard: ShardSpec | None = None,
     retry: RetryPolicy | None = None,
-    validate_lanes: int = 0,
 ) -> SweepResult:
     """Evaluate ``spec``, journaling every point; resumable and cached.
 
@@ -428,12 +377,6 @@ def run_sweep(
     the run to one deterministic K/N slice of the space (own run
     directory; fold slices back with :func:`repro.lab.shard.merge_runs`);
     ``retry`` configures the executor's fault tolerance.
-
-    ``validate_lanes > 0`` makes every point also execute its image with
-    that many batched replication lanes and check them bit-for-bit
-    against a scalar run (journaled as ``lane_check``); such runs get
-    their own ``-lanesN`` run directory so a plain sweep's journal is
-    never mistaken for a validated one.
     """
     out = sys.stderr if progress is None else progress
     store = ResultStore(store_root)
@@ -441,8 +384,6 @@ def run_sweep(
                 if shard is not None else list(spec.points))
     run_id = shard.run_id(spec.run_id()) if shard is not None \
         else spec.run_id()
-    if validate_lanes > 0:
-        run_id += f"-lanes{validate_lanes}"
     run = store.open_run(run_id)
     if not resume and run.results_path.exists():
         run.results_path.unlink()
@@ -482,7 +423,6 @@ def run_sweep(
             "fingerprint": spec.fingerprint(),
             "status": status,
             "jobs": jobs,
-            "validate_lanes": validate_lanes,
             "shard": shard.as_dict() if shard is not None else None,
             "cache_root": str(cache_root) if cache_root else None,
             "store_root": str(store_root),
@@ -566,7 +506,7 @@ def run_sweep(
 
     try:
         executor.map(evaluate_point,
-                     [(p, cache_root, validate_lanes) for p in pending],
+                     [(p, cache_root) for p in pending],
                      on_result=on_result)
     except KeyboardInterrupt:
         run.write_manifest(manifest("interrupted", time.monotonic() - t0))

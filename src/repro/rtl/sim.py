@@ -151,33 +151,6 @@ class RtlSim:
             raise SimulationError(f"{self.module.name}: unknown port {name!r}", code="RPR-X103")
         return fn()
 
-    # helpers referenced from generated simc code (scalar and batched) ----------
-
-    def _dyn_ref(self, name: str) -> int:
-        """Interpreter-identical dynamic name resolution (reg, then port)."""
-        regs = self.regs
-        if name in regs:
-            return regs[name]
-        return self._port_value(name)
-
-    def _div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise SimulationError(
-                f"{self.module.name}: divide by zero", code="RPR-X105")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return q
-
-    def _mod(self, a: int, b: int) -> int:
-        if b == 0:
-            raise SimulationError(
-                f"{self.module.name}: divide by zero", code="RPR-X105")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return a - q * b
-
     def eval(self, expr: R.Expr) -> int:
         if isinstance(expr, R.Ref):
             name = expr.signal.name

@@ -245,12 +245,42 @@ def execute(
     image's synthesis-time backend choice (``None`` keeps it); fallbacks
     to the interpreter are recorded in ``HwResult.backend_diagnostics``.
     """
-    from repro import simc
-
     cfg = watchdog or WatchdogConfig(max_cycles=max_cycles,
                                      idle_limit=idle_limit)
-    backend = simc.resolve_backend(
+    return _execute(image, cfg, _backend(image, sim_backend), faults)
+
+
+def execute_batch(
+    image: HardwareImage,
+    lane_faults: list,
+    watchdog: WatchdogConfig | None = None,
+    sim_backend: str | None = None,
+) -> list[HwResult]:
+    """One scalar run of ``image`` per entry of ``lane_faults``.
+
+    Lane ``i`` is exactly ``execute(image, watchdog=watchdog,
+    faults=lane_faults[i], sim_backend=sim_backend)``. The config and
+    backend are resolved once for the batch, and the runs go through
+    :func:`_execute` rather than :func:`execute`, so a span wrapped
+    around either entry point counts each lane's cycles once.
+    """
+    cfg = watchdog or WatchdogConfig()
+    backend = _backend(image, sim_backend)
+    return [_execute(image, cfg, backend, faults) for faults in lane_faults]
+
+
+def _backend(image: HardwareImage, sim_backend: str | None) -> str:
+    from repro import simc
+
+    return simc.resolve_backend(
         sim_backend or getattr(image, "sim_backend", None))
+
+
+def _execute(image: HardwareImage, cfg: WatchdogConfig, backend: str,
+             faults) -> HwResult:
+    """The body of :func:`execute`, under a resolved config and backend."""
+    from repro import simc
+
     app = image.app
     app.validate()
 
@@ -450,336 +480,3 @@ def execute(
     result.fault_events = injector.event_log()
     injector.detach()
     return result
-
-
-# ---------------------------------------------------------------------------
-# batched execution: N independent lanes of one image, advanced in lockstep
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LaneSpec:
-    """Per-lane inputs for :func:`execute_batch`.
-
-    Each lane is a fully independent run of the same :class:`HardwareImage`
-    — its own channels, taps, fault injector and watchdog — differing only
-    in what this spec overrides: the runtime faults injected into the lane
-    and, optionally, per-stream feeder data replacing the image's default
-    stimulus (``None`` keeps the stream's ``feeder_data``).
-    """
-
-    faults: tuple = ()
-    feeder_data: dict[str, list[int]] | None = None
-
-
-class _LanewiseGroup:
-    """Fallback batch adapter: per-lane scalar simulators, same contract.
-
-    Used when the batched code generator cannot specialize a process (or
-    the interpreter backend was requested): ``tick_lanes`` simply ticks
-    each lane's scalar executor. Lane results stay bit-identical to scalar
-    runs because they literally are scalar runs.
-    """
-
-    def __init__(self, lanes):
-        self.lanes = lanes
-
-    def tick_lanes(self, lane_ids, statuses: list) -> None:
-        lanes = self.lanes
-        for l in lane_ids:
-            statuses[l] = lanes[l].tick()
-
-
-class _LaneCtx:
-    """All mutable per-lane state of the scalar ``execute`` loop."""
-
-    __slots__ = ("channels", "taps", "cpu_outputs", "feeders", "execs",
-                 "collectors", "monitors", "injector", "wd", "result",
-                 "feed_rr", "sink_rr", "halted", "quarantine_rounds",
-                 "alive")
-
-
-def execute_batch(
-    image: HardwareImage,
-    lanes: list[LaneSpec],
-    max_cycles: int = 2_000_000,
-    idle_limit: int = 64,
-    watchdog: WatchdogConfig | None = None,
-    sim_backend: str | None = None,
-) -> list[HwResult]:
-    """Run N independent lanes of ``image`` through one lockstep loop.
-
-    Per lane this replays :func:`execute` exactly — same per-cycle order
-    (injector, board link, collectors, process ticks, monitors, abort /
-    drain / watchdog classification), same quarantine semantics, same
-    result fields — so ``execute_batch(image, [LaneSpec(faults=f)])[i]``
-    is bit-identical to ``execute(image, faults=f)`` for every lane. The
-    win is dispatch amortization: all lanes of one process advance through
-    one generated structure-of-arrays tick function per cycle
-    (:class:`repro.simc.schedgen.BatchedProcessExec`), and a lane that
-    terminates (abort, deadlock, completion, assertion trip) is simply
-    dropped from the lane lists without stalling its siblings.
-    """
-    from repro import simc
-    from repro.errors import SimCompileError
-    from repro.simc.schedgen import BatchedProcessExec
-
-    n = len(lanes)
-    if n < 1:
-        raise SimCompileError("execute_batch needs at least one lane",
-                              code="RPR-K030")
-    cfg = watchdog or WatchdogConfig(max_cycles=max_cycles,
-                                     idle_limit=idle_limit)
-    backend = simc.resolve_backend(
-        sim_backend or getattr(image, "sim_backend", None))
-    app = image.app
-    app.validate()
-
-    ctxs: list[_LaneCtx] = []
-    for spec in lanes:
-        ctx = _LaneCtx()
-        ctx.channels = {}
-        ctx.cpu_outputs = {}
-        ctx.feeders = {}
-        for sd in app.streams.values():
-            ctx.channels[sd.name] = Channel(sd.name, width=sd.width,
-                                            depth=sd.depth)
-            if sd.cpu_fed:
-                override = (spec.feeder_data or {}).get(sd.name)
-                ctx.feeders[sd.name] = list(
-                    sd.feeder_data or [] if override is None else override)
-            if sd.cpu_bound:
-                ctx.cpu_outputs[sd.name] = []
-        ctx.taps = {name: Channel(name, unbounded=True) for name in app.taps}
-        ctx.execs = {}
-        ctx.feed_rr = 0
-        ctx.sink_rr = 0
-        ctx.halted = False
-        ctx.quarantine_rounds = 0
-        ctx.alive = True
-        ctxs.append(ctx)
-
-    # one batched executor (or lanewise fallback) per FPGA process
-    lane_diags: list[list[dict]] = [[] for _ in range(n)]
-    groups: dict[str, object] = {}
-    for pd in app.fpga_processes():
-        lane_streams = []
-        for ctx in ctxs:
-            lane_streams.append({
-                param: ctx.channels[sd.name]
-                for param, sd in app.stream_binding(pd.name).items()
-            })
-        group = None
-        if backend != "interp":
-            try:
-                group = BatchedProcessExec(
-                    image.compiled[pd.name].schedule,
-                    lane_streams,
-                    lane_taps=[ctx.taps for ctx in ctxs],
-                    lane_ext_funcs=[pd.ext_hw] * n,
-                    name=pd.name,
-                )
-            except SimCompileError as exc:
-                for diags in lane_diags:
-                    diags.append(simc.fallback_diagnostic(
-                        f"process {pd.name} [batched]", exc))
-        if group is None:
-            group = _LanewiseGroup([
-                simc.make_process_exec(
-                    image.compiled[pd.name].schedule,
-                    lane_streams[l],
-                    taps=ctxs[l].taps,
-                    ext_funcs=pd.ext_hw,
-                    name=pd.name,
-                    backend=backend,
-                    diagnostics=lane_diags[l],
-                )
-                for l in range(n)
-            ])
-        groups[pd.name] = group
-        for l, ctx in enumerate(ctxs):
-            ctx.execs[pd.name] = group.lanes[l]
-
-    for l, (spec, ctx) in enumerate(zip(lanes, ctxs)):
-        ctx.collectors = [
-            _Collector(pd.collector_spec, ctx.taps,
-                       ctx.channels[pd.collector_spec.output])
-            for pd in app.processes.values()
-            if pd.kind == "collector" and pd.collector_spec is not None
-        ]
-        ctx.collectors.extend(
-            _Arbiter(pd.collector_spec, ctx.taps)
-            for pd in app.processes.values()
-            if pd.kind == "arbiter" and pd.collector_spec is not None
-        )
-        ctx.monitors = [
-            _LatencyMonitor(region, ctx.taps)
-            for region in image.latency_regions
-        ]
-        ctx.injector = RuntimeFaultInjector(spec.faults)
-        ctx.injector.attach(ctx.channels, ctx.execs)
-        ctx.wd = Watchdog(cfg, app=app, execs=ctx.execs,
-                          channels=ctx.channels)
-        ctx.result = HwResult(completed=False, cycles=0, reason=TIMEOUT,
-                              backend_diagnostics=lane_diags[l])
-
-    fed_order = sorted(ctxs[0].feeders)
-    sink_order = sorted(ctxs[0].cpu_outputs)
-    proc_names = [pd.name for pd in app.fpga_processes()]
-    daemonless = [pd.name for pd in app.fpga_processes() if not pd.daemon]
-
-    def board_tick(ctx: _LaneCtx) -> bool:
-        moved = False
-        # CPU -> FPGA: one word per cycle across all feeder streams
-        for k in range(len(fed_order)):
-            name = fed_order[(ctx.feed_rr + k) % len(fed_order)]
-            ch = ctx.channels[name]
-            data = ctx.feeders[name]
-            if data and ch.can_push():
-                ch.push(data.pop(0))
-                if not data:
-                    ch.close()
-                ctx.feed_rr = (ctx.feed_rr + k + 1) % len(fed_order)
-                moved = True
-                break
-            if not data and not ch.closed:
-                ch.close()
-                moved = True
-        # FPGA -> CPU: one word per cycle across all sink streams
-        for k in range(len(sink_order)):
-            name = sink_order[(ctx.sink_rr + k) % len(sink_order)]
-            ch = ctx.channels[name]
-            if ch.can_pop():
-                word = ch.pop()
-                _deliver(ctx, name, word)
-                ctx.sink_rr = (ctx.sink_rr + k + 1) % len(sink_order)
-                moved = True
-                break
-        return moved
-
-    def _deliver(ctx: _LaneCtx, stream: str, word: int) -> None:
-        result = ctx.result
-        sd = app.streams[stream]
-        if sd.role in ("assert_code", "assert_bitmask"):
-            hits = image.decode_failure(stream, word)
-            if hits and result.first_failure_cycle is None:
-                result.first_failure_cycle = result.cycles
-            for proc, site in hits:
-                result.failures.append((proc, site))
-                result.stderr.append(site.message())
-                if not image.nabort:
-                    result.aborted_by = site
-                    ctx.halted = True
-        else:
-            ctx.cpu_outputs[stream].append(word)
-
-    def finalize(ctx: _LaneCtx) -> None:
-        ctx.alive = False
-        result = ctx.result
-        for name in sink_order:
-            sd = app.streams[name]
-            if sd.role is None:
-                result.outputs[name] = ctx.cpu_outputs[name]
-        for name, pe in ctx.execs.items():
-            result.process_stats[name] = {
-                "cycles": pe.cycles,
-                "stalls": pe.stall_cycles,
-                "iterations": pe.iterations_started,
-                "stream_ops": pe.stream_ops,
-                "quarantined": pe.quarantined,
-                "backend": getattr(pe, "backend", "interp"),
-            }
-        result.fault_events = ctx.injector.event_log()
-        ctx.injector.detach()
-
-    statuses: dict[str, list] = {name: [None] * n for name in proc_names}
-    active_flags = [False] * n
-
-    for _cycle in range(cfg.max_cycles):
-        live = [l for l in range(n) if ctxs[l].alive]
-        if not live:
-            break
-        for l in live:
-            ctx = ctxs[l]
-            ctx.result.cycles += 1
-            ctx.injector.tick()
-            active = board_tick(ctx)
-            for collector in ctx.collectors:
-                if collector.tick():
-                    active = True
-            active_flags[l] = active
-        # one lockstep advance per process: every live lane of the process
-        # moves through the same generated SoA tick function
-        for name in proc_names:
-            groups[name].tick_lanes(live, statuses[name])
-        for l in live:
-            ctx = ctxs[l]
-            result = ctx.result
-            active = active_flags[l]
-            st = statuses
-            for name in proc_names:
-                if st[name][l] == "active":
-                    active = True
-            for monitor in ctx.monitors:
-                if monitor.tick(result.cycles):
-                    active = True
-                for region, elapsed in monitor.violations:
-                    if result.first_failure_cycle is None:
-                        result.first_failure_cycle = result.cycles
-                    result.failures.append((region.process, region.site))
-                    result.stderr.append(region.message(elapsed))
-                    if not image.nabort:
-                        result.aborted_by = region.site
-                        ctx.halted = True
-                monitor.violations.clear()
-            if ctx.halted:
-                result.reason = ABORTED
-                finalize(ctx)
-                continue
-            blocking = [
-                name for name in daemonless if not ctx.execs[name].done
-            ]
-            if not blocking:
-                drained = (
-                    all(not ctx.channels[s].can_pop() for s in sink_order)
-                    and all(not ch.can_pop() for ch in ctx.taps.values())
-                    and all(c.pending == 0 for c in ctx.collectors)
-                    and not active
-                )
-                if drained:
-                    result.completed = True
-                    result.reason = COMPLETED
-                    finalize(ctx)
-                    continue
-            verdict = ctx.wd.observe(active)
-            if verdict is not None:
-                if (cfg.quarantine and image.nabort
-                        and ctx.quarantine_rounds
-                        < cfg.max_quarantine_rounds):
-                    victims = ctx.wd.victims(verdict)
-                    if victims:
-                        ctx.quarantine_rounds += 1
-                        if result.watchdog is None:
-                            result.watchdog = ctx.wd.report(verdict)
-                        for name in victims:
-                            ctx.execs[name].quarantine()
-                            for sd in app.streams.values():
-                                if (sd.source is not None
-                                        and sd.source.process == name):
-                                    ctx.channels[sd.name].close()
-                        result.quarantined.extend(victims)
-                        ctx.wd.reset_after_quarantine(victims)
-                        continue
-                result.reason = verdict
-                result.traces = [pe.trace() for pe in ctx.execs.values()]
-                result.watchdog = ctx.wd.report(verdict)
-                finalize(ctx)
-
-    for ctx in ctxs:
-        if ctx.alive:
-            ctx.result.reason = TIMEOUT
-            ctx.result.traces = [pe.trace() for pe in ctx.execs.values()]
-            ctx.result.watchdog = ctx.wd.report(TIMEOUT)
-            finalize(ctx)
-
-    return [ctx.result for ctx in ctxs]

@@ -24,19 +24,9 @@ from repro.hls.cyclemodel import ProcessExec
 from repro.rtl.sim import RtlSim
 
 from .codecache import cached_source, clear_memo, compile_source, memo_stats
-from .rtlgen import (
-    BatchedRtlSim,
-    CompiledRtlSim,
-    batched_rtl_source,
-    generate_batched_rtl_source,
-    generate_rtl_source,
-    rtl_sim_source,
-)
+from .rtlgen import CompiledRtlSim, generate_rtl_source, rtl_sim_source
 from .schedgen import (
-    BatchedProcessExec,
     CompiledProcessExec,
-    batched_sched_source,
-    generate_batched_sched_source,
     generate_sched_source,
     sched_exec_source,
 )
@@ -44,18 +34,12 @@ from .schedgen import (
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "BatchedProcessExec",
-    "BatchedRtlSim",
     "CompiledProcessExec",
     "CompiledRtlSim",
-    "batched_rtl_source",
-    "batched_sched_source",
     "cached_source",
     "clear_memo",
     "compile_source",
     "fallback_diagnostic",
-    "generate_batched_rtl_source",
-    "generate_batched_sched_source",
     "generate_rtl_source",
     "generate_sched_source",
     "make_process_exec",

@@ -104,66 +104,6 @@ def _bench_hwexec(name: str, build_app, repeats: int) -> dict:
     }
 
 
-def _bench_batched(name: str, build_app, n_lanes: int,
-                   repeats: int) -> dict:
-    """Bench the multi-seed shape batching exists for: N independent runs
-    of one image (a campaign's scenarios at one level, a difftest seed
-    range, a sweep's replication points).
-
-    ``interp_s`` times the interpreter loop — N scalar ``execute()``
-    calls, the pre-batching campaign inner loop — against one
-    ``execute_batch`` call advancing all N lanes through the generated
-    structure-of-arrays tick functions (``compiled_s``), with the scalar
-    *compiled* loop recorded alongside (``scalar_compiled_s``) so the
-    dispatch-amortization win is visible separately from the
-    compiled-vs-interp win. Lane results are equality-checked against
-    the scalar run before any timing is trusted.
-    """
-    from repro.core.synth import synthesize
-    from repro.runtime.hwexec import LaneSpec, execute, execute_batch
-
-    image = synthesize(build_app(), assertions="optimized")
-
-    def scalar_loop(backend: str):
-        return [execute(image, sim_backend=backend)
-                for _ in range(n_lanes)]
-
-    def batched():
-        return execute_batch(image,
-                             [LaneSpec() for _ in range(n_lanes)])
-
-    ref = _hw_signature(execute(image, sim_backend="interp"))
-    lanes = batched()  # warm-up: batched codegen memo
-    for i, res in enumerate(lanes):
-        for st in res.process_stats.values():
-            if st["backend"] != "batched":
-                raise BenchMismatchError(
-                    f"{name}: lane {i} silently fell back to the "
-                    f"{st['backend']} backend: "
-                    f"{res.backend_diagnostics}", code="RPR-M004")
-        if _hw_signature(res) != ref:
-            raise BenchMismatchError(
-                f"{name}: batched lane {i} differs from the scalar "
-                f"interpreter run:\n  interp:  {ref}\n"
-                f"  batched: {_hw_signature(res)}", code="RPR-M005")
-
-    interp_s, res = _time_best(lambda: scalar_loop("interp"), repeats)
-    scalar_compiled_s, _ = _time_best(lambda: scalar_loop("compiled"),
-                                      repeats)
-    compiled_s, _ = _time_best(batched, repeats)
-    return {
-        "name": name,
-        "kind": "batch",
-        "lanes": n_lanes,
-        "cycles": sum(r.cycles for r in res),
-        "interp_s": round(interp_s, 6),
-        "scalar_compiled_s": round(scalar_compiled_s, 6),
-        "compiled_s": round(compiled_s, 6),
-        "speedup": round(interp_s / compiled_s, 3),
-        "batch_speedup": round(scalar_compiled_s / compiled_s, 3),
-    }
-
-
 _RTL_KERNEL = """
 void k(co_stream input, co_stream output) {
   uint32 x; uint32 acc; int32 s;
@@ -261,12 +201,6 @@ def _suite(quick: bool) -> list[tuple[str, Callable[[], dict], int]]:
          repeats),
         ("rtl_kernel",
          lambda: _bench_rtl("rtl_kernel", rtl_data, repeats),
-         repeats),
-        ("loopback_batch",
-         lambda: _bench_batched(
-             "loopback_batch",
-             lambda: build_loopback(3, data=list(range(1, 129))),
-             16, repeats),
          repeats),
     ]
 

@@ -36,9 +36,7 @@ from repro.utils.bitops import mask
 
 from .codecache import cached_source, compile_source
 
-__all__ = ["BatchedRtlSim", "CompiledRtlSim", "batched_rtl_source",
-           "generate_batched_rtl_source", "generate_rtl_source",
-           "rtl_sim_source"]
+__all__ = ["CompiledRtlSim", "generate_rtl_source", "rtl_sim_source"]
 
 
 class _Emitter:
@@ -69,11 +67,7 @@ class _RtlCompiler:
     """Translates one module (with a fixed stream classification) to source."""
 
     def __init__(self, module: R.Module, readers: tuple[str, ...],
-                 writers: tuple[str, ...], batched: bool = False) -> None:
-        #: structure-of-arrays mode: state functions take a lane index list
-        #: and advance all lanes parked in that state in one call, writing
-        #: per-lane status slots instead of returning a scalar status
-        self.batched = batched
+                 writers: tuple[str, ...]) -> None:
         self.module = module
         self.readers = tuple(readers)
         self.writers = tuple(writers)
@@ -294,26 +288,15 @@ class _RtlCompiler:
 
     def state_fn(self, em: _Emitter, sc: R.StateCase) -> str:
         fname = f"_s{sc.index}"
-        if self.batched:
-            return self._state_fn_batched(em, fname, sc)
         em.put(f"def {fname}():")
         em.indent += 1
         em.put(f"# state {sc.index} ({sc.label})")
-        self._state_body(em, sc,
-                         stall=("S.stalled += 1", "return 'stalled'"),
-                         active=("return 'active'",))
-        em.indent -= 1
-        em.put("")
-        return fname
-
-    def _state_body(self, em: _Emitter, sc: R.StateCase,
-                    stall: tuple, active: tuple) -> None:
         if sc.stall is not None:
             c = self.expr(em, sc.stall)
             em.put(f"if {c}:")
             em.indent += 1
-            for line in stall:
-                em.put(line)
+            em.put("S.stalled += 1")
+            em.put("return 'stalled'")
             em.indent -= 1
         # deferred register updates: one sentinel local per target,
         # initialized before the body so an untaken conditional assign
@@ -342,73 +325,10 @@ class _RtlCompiler:
             em.put(f"R[{name!r}] = {slot}")
             em.indent -= 1
         em.put(f"R['state'] = {ns}")
-        for line in active:
-            em.put(line)
-
-    def _state_fn_batched(self, em: _Emitter, fname: str,
-                          sc: R.StateCase) -> str:
-        """Lane-looped variant of :meth:`state_fn`: one call advances every
-        lane currently parked in this FSM state. A stalling lane writes
-        its status slot and ``continue``s without blocking siblings."""
-        body = _Emitter()
-        body.indent = em.indent + 2  # inside `def` + `for l in ls:`
-        body.put(f"# state {sc.index} ({sc.label})")
-        self._state_body(body, sc,
-                         stall=("S.stalled += 1", "_st[l] = 'stalled'",
-                                "continue"),
-                         active=("_st[l] = 'active'",))
-        em.put(f"def {fname}(ls, _st):")
-        em.indent += 1
-        em.put("for l in ls:")
-        em.indent += 1
-        for line in self.lane_aliases(body.lines):
-            em.put(line)
-        em.indent -= 2
-        em.lines.extend(body.lines)
+        em.put("return 'active'")
+        em.indent -= 1
         em.put("")
         return fname
-
-    # ---- lane aliasing (batched mode) ------------------------------------------
-
-    def lane_aliases(self, lines: list[str]) -> list[str]:
-        """Per-lane alias assignments for one generated state body.
-
-        Batched bodies are emitted with the *same* names the scalar
-        generator uses (``R``, ``_r0_q`` ...), then wrapped in a
-        ``for l in ls:`` loop whose head rebinds each used name to lane
-        ``l``'s slot of the corresponding structure-of-arrays list. Only
-        names the body actually mentions are rebound. Width masks
-        (``_w{i}_m``) and ``_div``/``_mod``/``_U`` are design-invariant
-        and stay bound once at build level.
-        """
-        text = "\n".join(lines)
-        out = ["R = _RN[l]"]
-        if "S." in text:
-            out.append("S = _SN[l]")
-        if "T." in text:
-            out.append("T = _TN[l]")
-        if "_dyn(" in text:
-            out.append("_dyn = _dynN[l]")
-        if "_X(" in text:
-            out.append("_X = _XN[l]")
-        for i in range(len(self.readers)):
-            if f"_r{i}." in text:
-                out.append(f"_r{i} = _r{i}N[l]")
-            if f"_r{i}_q" in text:
-                out.append(f"_r{i}_q = _r{i}_qN[l]")
-            if f"_r{i}_pop(" in text:
-                out.append(f"_r{i}_pop = _r{i}_popN[l]")
-        for i in range(len(self.writers)):
-            if f"_w{i}_push(" in text:
-                out.append(f"_w{i}_push = _w{i}_pushN[l]")
-            if f"_w{i}_can(" in text:
-                out.append(f"_w{i}_can = _w{i}_canN[l]")
-            if f"_w{i}_close(" in text:
-                out.append(f"_w{i}_close = _w{i}_closeN[l]")
-        for local in self.mem_locals.values():
-            if f"{local}[" in text:
-                out.append(f"{local} = {local}N[l]")
-        return out
 
     def _strobe(self, em: _Emitter, name: str, value: str) -> None:
         action = self.strobes.get(name)
@@ -449,63 +369,32 @@ class _RtlCompiler:
 
     def generate(self) -> str:
         em = _Emitter()
-        if self.batched:
-            em.put(f"# batched (SoA lanes) RTL simulation of module "
-                   f"{self.module.name!r} ({len(self.module.states)} states)")
-            em.put("def _build_batched(bx):")
-            em.indent += 1
-            em.put("_SN = bx.lanes")
-            em.put("_RN = [s.regs for s in _SN]")
-            em.put("_TN = [s.taps for s in _SN]")
-            em.put("_dynN = [s._dyn_ref for s in _SN]")
-            em.put("_XN = [s.ext_hdl for s in _SN]")
-            em.put("_U = _SENTINEL")
-            # pure value helpers; their error text only names the module,
-            # which is identical across lanes
-            em.put("_div = _SN[0]._div")
-            em.put("_mod = _SN[0]._mod")
-            for i, name in enumerate(self.readers):
-                em.put(f"_r{i}N = [s.streams[{name!r}] for s in _SN]")
-                em.put(f"_r{i}_qN = [c.queue for c in _r{i}N]")
-                em.put(f"_r{i}_popN = [c.pop for c in _r{i}N]")
-            for i, name in enumerate(self.writers):
-                em.put(f"_w{i}N = [s.streams[{name!r}] for s in _SN]")
-                em.put(f"_w{i}_pushN = [c.push for c in _w{i}N]")
-                em.put(f"_w{i}_canN = [c.can_push for c in _w{i}N]")
-                em.put(f"_w{i}_closeN = [c.close for c in _w{i}N]")
-                # widths are a property of the design, identical per lane
-                em.put(f"_w{i}_m = (1 << _w{i}N[0].width) - 1")
-            for mem in self.module.memories:
-                em.put(f"{self.mem_locals[mem.name]}N = "
-                       f"[s.memories[{mem.name!r}] for s in _SN]")
-            em.put("")
-        else:
-            em.put(f"# compiled RTL simulation of module "
-                   f"{self.module.name!r} ({len(self.module.states)} states)")
-            em.put("def _build(sim):")
-            em.indent += 1
-            em.put("R = sim.regs")
-            em.put("T = sim.taps")
-            em.put("S = sim")
-            em.put("_U = _SENTINEL")
-            em.put("_dyn = sim._dyn_ref")
-            em.put("_div = sim._div")
-            em.put("_mod = sim._mod")
-            em.put("_X = sim.ext_hdl")
-            for i, name in enumerate(self.readers):
-                em.put(f"_r{i} = sim.streams[{name!r}]")
-                em.put(f"_r{i}_q = _r{i}.queue")
-                em.put(f"_r{i}_pop = _r{i}.pop")
-            for i, name in enumerate(self.writers):
-                em.put(f"_w{i} = sim.streams[{name!r}]")
-                em.put(f"_w{i}_push = _w{i}.push")
-                em.put(f"_w{i}_can = _w{i}.can_push")
-                em.put(f"_w{i}_close = _w{i}.close")
-                em.put(f"_w{i}_m = (1 << _w{i}.width) - 1")
-            for mem in self.module.memories:
-                em.put(f"{self.mem_locals[mem.name]} = "
-                       f"sim.memories[{mem.name!r}]")
-            em.put("")
+        em.put(f"# compiled RTL simulation of module "
+               f"{self.module.name!r} ({len(self.module.states)} states)")
+        em.put("def _build(sim):")
+        em.indent += 1
+        em.put("R = sim.regs")
+        em.put("T = sim.taps")
+        em.put("S = sim")
+        em.put("_U = _SENTINEL")
+        em.put("_dyn = sim._dyn_ref")
+        em.put("_div = sim._div")
+        em.put("_mod = sim._mod")
+        em.put("_X = sim.ext_hdl")
+        for i, name in enumerate(self.readers):
+            em.put(f"_r{i} = sim.streams[{name!r}]")
+            em.put(f"_r{i}_q = _r{i}.queue")
+            em.put(f"_r{i}_pop = _r{i}.pop")
+        for i, name in enumerate(self.writers):
+            em.put(f"_w{i} = sim.streams[{name!r}]")
+            em.put(f"_w{i}_push = _w{i}.push")
+            em.put(f"_w{i}_can = _w{i}.can_push")
+            em.put(f"_w{i}_close = _w{i}.close")
+            em.put(f"_w{i}_m = (1 << _w{i}.width) - 1")
+        for mem in self.module.memories:
+            em.put(f"{self.mem_locals[mem.name]} = "
+                   f"sim.memories[{mem.name!r}]")
+        em.put("")
         fnames = {}
         for sc in self.module.states:
             fnames[sc.index] = self.state_fn(em, sc)
@@ -532,32 +421,6 @@ def rtl_sim_source(module: R.Module, readers: tuple[str, ...],
         "rtl",
         (repr(module), tuple(readers), tuple(writers)),
         lambda: generate_rtl_source(module, readers, writers),
-        cache=cache,
-    )
-
-
-def generate_batched_rtl_source(module: R.Module, readers: tuple[str, ...],
-                                writers: tuple[str, ...]) -> str:
-    """Generate (uncached) N-lane structure-of-arrays source for
-    ``module``. The emitted module is lane-count independent: the batch
-    width is fixed only when ``_build_batched`` binds a concrete lane
-    list, so one cached source serves every batch size."""
-    return _RtlCompiler(module, readers, writers, batched=True).generate()
-
-
-def batched_rtl_source(module: R.Module, readers: tuple[str, ...],
-                       writers: tuple[str, ...], cache=None) -> str:
-    """Cached variant of :func:`generate_batched_rtl_source`.
-
-    Cached under the distinct ``rtl-batch`` kind — the fingerprint
-    namespace guarantees scalar and batched source can never alias in the
-    in-process memo or the disk cache even though both are keyed by the
-    same module identity.
-    """
-    return cached_source(
-        "rtl-batch",
-        (repr(module), tuple(readers), tuple(writers)),
-        lambda: generate_batched_rtl_source(module, readers, writers),
         cache=cache,
     )
 
@@ -601,8 +464,37 @@ class CompiledRtlSim(RtlSim):
         self._state_fns = ns["_build"](self)
         self._done_state = module.meta.get("done_state")
 
-    # _dyn_ref/_div/_mod (referenced from generated code) are inherited from
-    # RtlSim so interpreted lanes can serve batched generated code too.
+    # Subclassing RtlSim shares construction (register file, memory
+    # images, stream classification, the port table ``_dyn_ref`` falls back
+    # on) and the inherited ``run`` loop with the interpreter; only ``tick``
+    # differs.
+
+    # ---- helpers referenced from generated code -------------------------------
+
+    def _dyn_ref(self, name: str) -> int:
+        """Interpreter-identical dynamic name resolution (reg, then port)."""
+        regs = self.regs
+        if name in regs:
+            return regs[name]
+        return self._port_value(name)
+
+    def _div(self, a: int, b: int) -> int:
+        if b == 0:
+            raise SimulationError(
+                f"{self.module.name}: divide by zero", code="RPR-X105")
+        q = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            q = -q
+        return q
+
+    def _mod(self, a: int, b: int) -> int:
+        if b == 0:
+            raise SimulationError(
+                f"{self.module.name}: divide by zero", code="RPR-X105")
+        q = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            q = -q
+        return a - q * b
 
     # ---- clocking --------------------------------------------------------------
 
@@ -621,97 +513,3 @@ class CompiledRtlSim(RtlSim):
             raise SimulationError(
                 f"{self.module.name}: no state {state}", code="RPR-X109")
         return fn()
-
-
-class BatchedRtlSim:
-    """N interpreter lanes advanced in lockstep by generated SoA code.
-
-    Each lane is a plain :class:`RtlSim` (so fault injectors attached to a
-    lane's channels and per-lane ``taps``/``regs``/``memories`` work
-    unchanged), but clocking goes through one generated function per FSM
-    state that loops over exactly the lanes currently parked there. After
-    any number of ``tick_lanes`` calls, lane ``i`` is bit-identical (regs,
-    taps, memories, counters, channel traffic) to a scalar run fed the
-    same stimulus.
-    """
-
-    backend = "batched"
-
-    def __init__(
-        self,
-        module: R.Module,
-        lane_streams: list[dict[str, Channel]],
-        lane_ext_hdl: list | None = None,
-        lane_injectors: list | None = None,
-        cache=None,
-    ) -> None:
-        n = len(lane_streams)
-        if n < 1:
-            raise SimCompileError(
-                f"{module.name}: batch needs at least one lane",
-                code="RPR-K030")
-        ext_l = lane_ext_hdl if lane_ext_hdl is not None else [None] * n
-        inj_l = lane_injectors if lane_injectors is not None else [None] * n
-        self.module = module
-        self.lanes: list[RtlSim] = [
-            RtlSim(module, lane_streams[i], ext_l[i], inj_l[i])
-            for i in range(n)
-        ]
-        for sim in self.lanes:
-            sim.backend = "batched"  # shadow the class attr for stats
-        self.n = n
-        # the classification is a pure function of the module's ports, so
-        # every lane agrees with lane 0 by construction
-        source = batched_rtl_source(
-            module,
-            tuple(sorted(self.lanes[0]._readers)),
-            tuple(sorted(self.lanes[0]._writers)),
-            cache=cache,
-        )
-        self.source = source
-        code = compile_source(source, f"<simc-rtl-batch:{module.name}>")
-        ns = {"__builtins__": {}, "_SENTINEL": _SENTINEL}
-        exec(code, ns)
-        self._state_fns = ns["_build_batched"](self)
-        self._done_state = module.meta.get("done_state")
-
-    def tick_lanes(self, lane_ids, statuses: list) -> None:
-        """Advance every lane in ``lane_ids`` one clock.
-
-        ``statuses[l]`` receives ``'active'`` / ``'stalled'`` / ``'done'``
-        — exactly what ``RtlSim.tick()`` would have returned for that
-        lane. Lanes are grouped by FSM state so each generated function is
-        entered once per cycle, however many lanes sit there.
-        """
-        lanes = self.lanes
-        groups: dict = {}
-        for l in lane_ids:
-            sim = lanes[l]
-            if sim.done:
-                statuses[l] = "done"
-                continue
-            state = sim.regs["state"]
-            if state == self._done_state:
-                sim.done = True
-                statuses[l] = "done"
-                continue
-            sim.cycles += 1
-            if sim.injector is not None:
-                sim.injector.tick()
-            fn = self._state_fns.get(state)
-            if fn is None:
-                raise SimulationError(
-                    f"{self.module.name}: no state {state}", code="RPR-X109")
-            grp = groups.get(fn)
-            if grp is None:
-                groups[fn] = [l]
-            else:
-                grp.append(l)
-        for fn, ls in groups.items():
-            fn(ls, statuses)
-
-    def tick_all(self) -> list:
-        """Convenience: tick every lane, returning the status list."""
-        statuses: list = [None] * self.n
-        self.tick_lanes(range(self.n), statuses)
-        return statuses

@@ -38,9 +38,8 @@ from repro.utils.bitops import mask, truncate
 from .codecache import cached_source, compile_source
 from .rtlgen import _Emitter, _sext_src
 
-__all__ = ["BatchedProcessExec", "CompiledProcessExec",
-           "batched_sched_source", "generate_batched_sched_source",
-           "generate_sched_source", "sched_exec_source"]
+__all__ = ["CompiledProcessExec", "generate_sched_source",
+           "sched_exec_source"]
 
 
 def _identity(v):
@@ -66,11 +65,7 @@ class _Opnd:
 
 
 class _SchedCompiler:
-    def __init__(self, fsched: FunctionSchedule, batched: bool = False) -> None:
-        #: structure-of-arrays mode: every generated function takes a lane
-        #: index list and advances all lanes in one call, with per-lane
-        #: status slots instead of a scalar return value
-        self.batched = batched
+    def __init__(self, fsched: FunctionSchedule) -> None:
         self.fsched = fsched
         self.func = fsched.func
         self.name = self.func.name
@@ -473,52 +468,10 @@ class _SchedCompiler:
             return s
         return o.src
 
-    # ---- lane aliasing (batched mode) -------------------------------------------
-
-    def lane_aliases(self, lines: list[str]) -> list[str]:
-        """Per-lane alias assignments for one generated function body.
-
-        Batched bodies are emitted with the *same* names the scalar
-        generator uses (``E``, ``P``, ``_c0_q`` ...), then wrapped in a
-        ``for l in ls:`` loop whose head rebinds each used name to lane
-        ``l``'s slot of the corresponding structure-of-arrays list. Only
-        names the body actually mentions are rebound, keeping per-lane
-        loop overhead proportional to what the step touches.
-        """
-        text = "\n".join(lines)
-        out = ["P = _PN[l]", "E = _EN[l]"]
-        if "_div(" in text:
-            out.append("_div = P._sc_div")
-        if "_mod(" in text:
-            out.append("_mod = P._sc_mod")
-        if "_ext(" in text:
-            out.append("_ext = _EXTN[l]")
-        if "_pend(" in text:
-            out.append("_pend = _PENDN[l]")
-        if "_pendm(" in text:
-            out.append("_pendm = _PENDMN[l]")
-        for local in self.channels.values():
-            if f"{local}.closed" in text:
-                out.append(f"{local} = {local}N[l]")
-            if f"{local}_q" in text:
-                out.append(f"{local}_q = {local}_qN[l]")
-            if f"{local}_pop(" in text:
-                out.append(f"{local}_pop = {local}_popN[l]")
-            if f"{local}_push(" in text:
-                out.append(f"{local}_push = {local}_pushN[l]")
-            if f"{local}_can(" in text:
-                out.append(f"{local}_can = {local}_canN[l]")
-            if f"{local}_close(" in text:
-                out.append(f"{local}_close = {local}_closeN[l]")
-        for local in self.mem_locals.values():
-            if f"{local}[" in text:
-                out.append(f"{local} = {local}N[l]")
-        return out
-
     # ---- readiness --------------------------------------------------------------
 
     def ready_check(self, em: _Emitter, instr: Instr,
-                    fail: str | tuple = "return 'stalled'") -> None:
+                    fail: str = "return 'stalled'") -> None:
         if instr.op not in (OpKind.STREAM_READ, OpKind.STREAM_WRITE,
                             OpKind.TAP_READ):
             return  # close (and non-stream ops) never stall
@@ -540,10 +493,8 @@ class _SchedCompiler:
             cond = f"not {ch}_can()"
         em.put(f"if {cond}:")
         em.indent += 1
-        for line in ((fail,) if isinstance(fail, str) else fail):
-            em.put(line)
-        em.indent -= 1
-        em.indent -= indent
+        em.put(fail)
+        em.indent -= 1 + indent
 
     @staticmethod
     def _is_streamlike(instr: Instr) -> bool:
@@ -559,9 +510,6 @@ class _SchedCompiler:
         indices = bs.steps[step] if step < len(bs.steps) else []
         instrs = [block.instrs[i] for i in indices]
         fname = f"_f{fid}"
-        if self.batched:
-            return self._step_fn_batched(em, fname, block_name, step,
-                                         bs, block, instrs)
         em.put(f"def {fname}():")
         em.indent += 1
         em.put(f"# {block_name}[{step}]")
@@ -600,59 +548,6 @@ class _SchedCompiler:
         em.put("")
         return fname
 
-    def _step_fn_batched(self, em: _Emitter, fname: str, block_name: str,
-                         step: int, bs, block, instrs) -> str:
-        """Lane-looped variant of :meth:`step_fn`: one call advances every
-        lane currently parked at ``(block, step)``. A stalling or
-        finishing lane writes its status slot and ``continue``s, so no
-        lane ever blocks a sibling."""
-        body = _Emitter()
-        body.indent = em.indent + 2  # inside `def` + `for l in ls:`
-        body.put(f"# {block_name}[{step}]")
-        for instr in instrs:
-            self.ready_check(body, instr,
-                             fail=("_st[l] = 'stalled'", "continue"))
-        for instr in instrs:
-            self.exec_instr(body, instr)
-        body.put(f"P.step = {step + 1}")
-        if step + 1 >= bs.length:
-            term = block.term
-            if isinstance(term, Jump):
-                body.put(f"P._enter_block({term.target!r})")
-            elif isinstance(term, Branch):
-                c = self.opnd(term.cond)
-                if c.lit is not None:
-                    target = term.iftrue if c.lit != 0 else term.iffalse
-                    body.put(f"P._enter_block({target!r})")
-                else:
-                    body.put(f"if {c.src}:")
-                    body.indent += 1
-                    body.put(f"P._enter_block({term.iftrue!r})")
-                    body.indent -= 1
-                    body.put("else:")
-                    body.indent += 1
-                    body.put(f"P._enter_block({term.iffalse!r})")
-                    body.indent -= 1
-            elif isinstance(term, Return):
-                body.put("P.done = True")
-                body.put("_st[l] = 'done'")
-                body.put("continue")
-            else:
-                raise SimCompileError(
-                    f"{self.name}: unsupported terminator "
-                    f"{type(term).__name__}", code="RPR-K020")
-        body.put("_st[l] = 'active'")
-        em.put(f"def {fname}(ls, _st):")
-        em.indent += 1
-        em.put("for l in ls:")
-        em.indent += 1
-        for line in self.lane_aliases(body.lines):
-            em.put(line)
-        em.indent -= 2
-        em.lines.extend(body.lines)
-        em.put("")
-        return fname
-
     # ---- pipelined blocks -------------------------------------------------------
 
     def pipe_fn(self, em: _Emitter, fid: int, block_name: str) -> str:
@@ -677,38 +572,23 @@ class _SchedCompiler:
             for stage, ops in stage_ops.items():
                 if any(self._is_streamlike(i) for i in ops):
                     fname = f"_p{fid}r{stage}"
-                    if self.batched:
-                        self._emit_stage_fn(
-                            em, fname, None,
-                            lambda b: [self.ready_check(b, i,
-                                                        fail="return False")
-                                       for i in ops] and None,
-                            tail="return True")
-                    else:
-                        em.put(f"def {fname}(o):")
-                        em.indent += 1
-                        for instr in ops:
-                            self.ready_check(em, instr, fail="return False")
-                        em.put("return True")
-                        em.indent -= 1
-                        em.put("")
-                    rdy_fns[stage] = fname
-                fname = f"_p{fid}x{stage}"
-                if self.batched:
-                    self._emit_stage_fn(
-                        em, fname, f"# {block_name} stage {stage}",
-                        lambda b: [self.exec_instr(b, i)
-                                   for i in ops] and None,
-                        tail="return None")
-                else:
                     em.put(f"def {fname}(o):")
                     em.indent += 1
-                    em.put(f"# {block_name} stage {stage}")
                     for instr in ops:
-                        self.exec_instr(em, instr)
-                    em.put("return None")
+                        self.ready_check(em, instr, fail="return False")
+                    em.put("return True")
                     em.indent -= 1
                     em.put("")
+                    rdy_fns[stage] = fname
+                fname = f"_p{fid}x{stage}"
+                em.put(f"def {fname}(o):")
+                em.indent += 1
+                em.put(f"# {block_name} stage {stage}")
+                for instr in ops:
+                    self.exec_instr(em, instr)
+                em.put("return None")
+                em.indent -= 1
+                em.put("")
                 ex_fns[stage] = fname
         finally:
             self.ov = None
@@ -719,9 +599,6 @@ class _SchedCompiler:
         ok = ps.ok.name if ps.ok is not None else None
         em.put(f"_p{fid}rd = {{{rdy_tbl}}}")
         em.put(f"_p{fid}ex = {{{ex_tbl}}}")
-        if self.batched:
-            return self._pipe_protocol_batched(em, fid, fname, block_name,
-                                               ps, rdy_fns, ex_fns, ok)
         em.put(f"def {fname}():")
         em.indent += 1
         em.put(f"# pipelined block {block_name!r} "
@@ -832,154 +709,6 @@ class _SchedCompiler:
         em.put("")
         return fname
 
-    def _emit_stage_fn(self, em: _Emitter, fname: str, comment: str | None,
-                       emit_body, tail: str) -> None:
-        """Batched pipeline stage function: same body as the scalar stage
-        function, wrapped in per-lane aliases and taking the lane index
-        explicitly (stage functions run per (lane, in-flight iteration))."""
-        body = _Emitter()
-        body.indent = em.indent + 1  # inside `def`
-        if comment:
-            body.put(comment)
-        emit_body(body)
-        body.put(tail)
-        em.put(f"def {fname}(l, o):")
-        em.indent += 1
-        for line in self.lane_aliases(body.lines):
-            em.put(line)
-        em.indent -= 1
-        em.lines.extend(body.lines)
-        em.put("")
-
-    def _pipe_protocol_batched(self, em: _Emitter, fid: int, fname: str,
-                               block_name: str, ps, rdy_fns, ex_fns,
-                               ok) -> str:
-        """Lane-looped initiation/squash/drain protocol. Each lane replays
-        exactly the scalar compiled protocol against its own ``_inflight``
-        list; a stalling lane parks (status slot) without blocking
-        siblings."""
-        em.put(f"def {fname}(ls, _st):")
-        em.indent += 1
-        em.put(f"# pipelined block {block_name!r} "
-               f"(ii={ps.ii}, latency={ps.latency}) [batched]")
-        em.put(f"_rd = _p{fid}rd")
-        em.put(f"_ex = _p{fid}ex")
-        em.put("for l in ls:")
-        em.indent += 1
-        em.put("P = _PN[l]")
-        em.put("E = _EN[l]")
-        em.put("inflight = P._inflight")
-        # a handshake stuck mid-pipeline stalls everything (in this lane)
-        em.put("_ok = True")
-        em.put("for it in inflight:")
-        em.indent += 1
-        em.put("if it['squashed']:")
-        em.indent += 1
-        em.put("continue")
-        em.indent -= 1
-        em.put("r = _rd.get(it['stage'])")
-        em.put("if r is not None and not r(l, it['overlay']):")
-        em.indent += 1
-        em.put("_ok = False")
-        em.put("break")
-        em.indent -= 2
-        em.put("if not _ok:")
-        em.indent += 1
-        em.put("_st[l] = 'stalled'")
-        em.put("continue")
-        em.indent -= 1
-        # initiation: starvation skips this cycle's initiation (a bubble)
-        em.put("new_iter = None")
-        em.put(f"if not P._draining and P._since_init + 1 >= {ps.ii}:")
-        em.indent += 1
-        em.put("o = {}")
-        rdy0 = rdy_fns.get(0)
-        if rdy0 is not None:
-            em.put(f"if {rdy0}(l, o):")
-            em.indent += 1
-            em.put("new_iter = {'stage': 0, 'overlay': o, "
-                   "'squashed': False}")
-            em.indent -= 1
-            em.put("elif not inflight:")
-            em.indent += 1
-            em.put("_st[l] = 'stalled'  # nothing to advance: lane idles")
-            em.put("continue")
-            em.indent -= 1
-        else:
-            em.put("new_iter = {'stage': 0, 'overlay': o, "
-                   "'squashed': False}")
-        em.indent -= 1
-        em.put("for it in inflight:")
-        em.indent += 1
-        em.put("if it['squashed']:")
-        em.indent += 1
-        em.put("continue")
-        em.indent -= 1
-        em.put("f = _ex.get(it['stage'])")
-        em.put("if f is not None:")
-        em.indent += 1
-        em.put("f(l, it['overlay'])")
-        em.indent -= 2
-        em.put("if new_iter is not None:")
-        em.indent += 1
-        ex0 = ex_fns.get(0)
-        if ex0 is not None:
-            em.put(f"{ex0}(l, new_iter['overlay'])")
-        if ok is not None:
-            em.put(f"if (new_iter['overlay'][{ok!r}] if {ok!r} in "
-                   f"new_iter['overlay'] else E.get({ok!r}, 0)) == 0:")
-            em.indent += 1
-            em.put("new_iter['squashed'] = True")
-            em.put("P._draining = True")
-            em.indent -= 1
-            em.put("else:")
-            em.indent += 1
-            em.put("P.iterations_started += 1")
-            em.indent -= 1
-        else:
-            em.put("P.iterations_started += 1")
-        em.put("inflight.append(new_iter)")
-        em.put("P._since_init = 0")
-        em.indent -= 1
-        em.put("else:")
-        em.indent += 1
-        em.put("P._since_init += 1")
-        em.indent -= 1
-        em.put("for it in inflight:")
-        em.indent += 1
-        em.put("it['stage'] += 1")
-        em.indent -= 1
-        em.put(f"P._inflight = [it for it in inflight if it['stage'] < "
-               f"{ps.latency} and not it['squashed']]")
-        # commit end-of-cycle register/memory writes (this lane only)
-        em.put("_pel = P._pending_env")
-        em.put("if _pel:")
-        em.indent += 1
-        em.put("for name, value in _pel:")
-        em.indent += 1
-        em.put("E[name] = value")
-        em.indent -= 1
-        em.put("_pel.clear()")
-        em.indent -= 1
-        em.put("_pml = P._pending_mem")
-        em.put("if _pml:")
-        em.indent += 1
-        em.put("_mems = P.memories")
-        em.put("for mem_name, idx, value in _pml:")
-        em.indent += 1
-        em.put("_mems[mem_name][idx] = value")
-        em.indent -= 1
-        em.put("_pml.clear()")
-        em.indent -= 1
-        em.put("if P._draining and not P._inflight:")
-        em.indent += 1
-        em.put(f"P._enter_block({ps.exit_block!r})")
-        em.indent -= 1
-        em.put("_st[l] = 'active'")
-        em.indent -= 2
-        em.put("")
-        return fname
-
     # ---- whole schedule ---------------------------------------------------------
 
     def generate(self) -> str:
@@ -1003,54 +732,29 @@ class _SchedCompiler:
             table[block_name] = fns
 
         em = _Emitter()
-        if self.batched:
-            em.put(f"# batched (SoA lanes) cycle model of process "
-                   f"{self.name!r} ({fid} step/pipeline functions)")
-            em.put("def _build_batched(bx):")
-            em.indent += 1
-            em.put("_PN = bx.lanes")
-            em.put("_EN = [p.env for p in _PN]")
-            em.put("_EXTN = [p.ext_funcs.get('ext_hdl', _IDENT) "
-                   "for p in _PN]")
-            em.put("_PENDN = [p._pending_env.append for p in _PN]")
-            em.put("_PENDMN = [p._pending_mem.append for p in _PN]")
-            for (kind, name), local in self.channels.items():
-                src = "streams" if kind == "stream" else "taps"
-                em.put(f"{local}N = [p.{src}[{name!r}] for p in _PN]")
-                em.put(f"{local}_qN = [c.queue for c in {local}N]")
-                em.put(f"{local}_popN = [c.pop for c in {local}N]")
-                em.put(f"{local}_pushN = [c.push for c in {local}N]")
-                em.put(f"{local}_canN = [c.can_push for c in {local}N]")
-                em.put(f"{local}_closeN = [c.close for c in {local}N]")
-                # widths are a property of the design, identical per lane
-                em.put(f"{local}_m = (1 << {local}N[0].width) - 1")
-            for name, local in self.mem_locals.items():
-                em.put(f"{local}N = [p.memories[{name!r}] for p in _PN]")
-            em.put("")
-        else:
-            em.put(f"# compiled cycle model of process {self.name!r} "
-                   f"({fid} step/pipeline functions)")
-            em.put("def _build(pe):")
-            em.indent += 1
-            em.put("P = pe")
-            em.put("E = pe.env")
-            em.put("_div = pe._sc_div")
-            em.put("_mod = pe._sc_mod")
-            em.put("_ext = pe.ext_funcs.get('ext_hdl', _IDENT)")
-            em.put("_pend = pe._pending_env.append")
-            em.put("_pendm = pe._pending_mem.append")
-            for (kind, name), local in self.channels.items():
-                src = "streams" if kind == "stream" else "taps"
-                em.put(f"{local} = pe.{src}[{name!r}]")
-                em.put(f"{local}_q = {local}.queue")
-                em.put(f"{local}_pop = {local}.pop")
-                em.put(f"{local}_push = {local}.push")
-                em.put(f"{local}_can = {local}.can_push")
-                em.put(f"{local}_close = {local}.close")
-                em.put(f"{local}_m = (1 << {local}.width) - 1")
-            for name, local in self.mem_locals.items():
-                em.put(f"{local} = pe.memories[{name!r}]")
-            em.put("")
+        em.put(f"# compiled cycle model of process {self.name!r} "
+               f"({fid} step/pipeline functions)")
+        em.put("def _build(pe):")
+        em.indent += 1
+        em.put("P = pe")
+        em.put("E = pe.env")
+        em.put("_div = pe._sc_div")
+        em.put("_mod = pe._sc_mod")
+        em.put("_ext = pe.ext_funcs.get('ext_hdl', _IDENT)")
+        em.put("_pend = pe._pending_env.append")
+        em.put("_pendm = pe._pending_mem.append")
+        for (kind, name), local in self.channels.items():
+            src = "streams" if kind == "stream" else "taps"
+            em.put(f"{local} = pe.{src}[{name!r}]")
+            em.put(f"{local}_q = {local}.queue")
+            em.put(f"{local}_pop = {local}.pop")
+            em.put(f"{local}_push = {local}.push")
+            em.put(f"{local}_can = {local}.can_push")
+            em.put(f"{local}_close = {local}.close")
+            em.put(f"{local}_m = (1 << {local}.width) - 1")
+        for name, local in self.mem_locals.items():
+            em.put(f"{local} = pe.memories[{name!r}]")
+        em.put("")
         em.lines.extend(body.lines)
         rows = []
         for block_name, fns in table.items():
@@ -1116,30 +820,6 @@ def sched_exec_source(fsched: FunctionSchedule, cache=None) -> str:
     )
 
 
-def generate_batched_sched_source(fsched: FunctionSchedule) -> str:
-    """Generate (uncached) N-lane structure-of-arrays source for
-    ``fsched``. The emitted module is lane-count independent: the batch
-    width is fixed only when ``_build_batched`` binds a concrete lane
-    list, so one cached source serves every batch size."""
-    return _SchedCompiler(fsched, batched=True).generate()
-
-
-def batched_sched_source(fsched: FunctionSchedule, cache=None) -> str:
-    """Cached variant of :func:`generate_batched_sched_source`.
-
-    Cached under the distinct ``sched-batch`` kind — the fingerprint
-    namespace guarantees scalar and batched source can never alias in the
-    in-process memo or the disk cache even though both are keyed by the
-    same schedule digest.
-    """
-    return cached_source(
-        "sched-batch",
-        (_schedule_digest(fsched),),
-        lambda: generate_batched_sched_source(fsched),
-        cache=cache,
-    )
-
-
 class CompiledProcessExec(ProcessExec):
     """Hybrid :class:`ProcessExec` with blocks compiled to bytecode.
 
@@ -1176,8 +856,31 @@ class CompiledProcessExec(ProcessExec):
                 f"{self.name}: cannot bind channel {exc} during "
                 "specialization", code="RPR-K021") from exc
 
-    # _sc_div/_sc_mod (referenced from generated code) are inherited from
-    # ProcessExec so interpreted lanes can serve batched generated code too.
+    # Subclassing ProcessExec is what makes the hybrid work: a block the
+    # codegen skipped ticks through the inherited interpreter on the same
+    # state, and the watchdog, fault hooks (``upset_register``,
+    # ``quarantine``) and ``trace()`` see one object whichever path ran.
+
+    # ---- helpers referenced from generated code -------------------------------
+
+    def _sc_div(self, a: int, b: int) -> int:
+        """C truncating division."""
+        if b == 0:
+            raise SimulationError(
+                f"{self.name}: division by zero", code="RPR-X010")
+        q = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            q = -q
+        return q
+
+    def _sc_mod(self, a: int, b: int) -> int:
+        if b == 0:
+            raise SimulationError(
+                f"{self.name}: division by zero", code="RPR-X010")
+        q = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            q = -q
+        return a - q * b
 
     # ---- clocking --------------------------------------------------------------
 
@@ -1192,113 +895,3 @@ class CompiledProcessExec(ProcessExec):
         if fn is None:
             return ProcessExec._tick_pipe(self)
         return fn()
-
-
-class BatchedProcessExec:
-    """N interpreter lanes advanced in lockstep by generated SoA code.
-
-    Each lane is a plain :class:`ProcessExec` (so fault hooks —
-    ``upset_register``, ``quarantine``, channel fault chains — and
-    ``trace()`` work per lane, unchanged), but clocking goes through one
-    generated function per ``(block, step)`` / pipeline that loops over
-    exactly the lanes currently parked there. Lanes whose schedule
-    position the codegen skipped fall back to the interpreted tick,
-    bit-identically. A lane that finishes, stalls, aborts upstream or is
-    quarantined simply stops appearing in the lane lists the driver
-    passes in — siblings never wait for it.
-
-    The contract is the backbone of the equivalence suite: after any
-    number of ``tick_lanes`` calls, lane ``i`` is byte-identical (env,
-    memories, counters, channel traffic) to a scalar run fed the same
-    stimulus.
-    """
-
-    backend = "batched"
-
-    def __init__(
-        self,
-        fsched: FunctionSchedule,
-        lane_streams: list[dict[str, Channel]],
-        lane_taps: list[dict[str, Channel] | None] | None = None,
-        lane_ext_funcs: list | None = None,
-        name: str | None = None,
-        cache=None,
-    ) -> None:
-        n = len(lane_streams)
-        if n < 1:
-            raise SimCompileError(
-                f"{name or fsched.func.name}: batch needs at least one "
-                "lane", code="RPR-K030")
-        taps_l = lane_taps if lane_taps is not None else [None] * n
-        ext_l = lane_ext_funcs if lane_ext_funcs is not None else [None] * n
-        self.fsched = fsched
-        self.lanes: list[ProcessExec] = [
-            ProcessExec(fsched, lane_streams[i], taps_l[i], ext_l[i], name)
-            for i in range(n)
-        ]
-        for pe in self.lanes:
-            pe.backend = "batched"  # shadow the class attr for stats
-        self.name = self.lanes[0].name
-        self.n = n
-        source = batched_sched_source(fsched, cache=cache)
-        self.source = source
-        code = compile_source(source,
-                              f"<simc-sched-batch:{fsched.func.name}>")
-        ns = {"__builtins__": {}, "_IDENT": _identity, "_len": len}
-        exec(code, ns)
-        try:
-            self._seq_fns, self._pipe_fns = ns["_build_batched"](self)
-        except KeyError as exc:
-            # an unbound tap channel the interpreter would only touch on
-            # first use; fall back so the lazier behaviour is preserved
-            raise SimCompileError(
-                f"{self.name}: cannot bind channel {exc} during batched "
-                "specialization", code="RPR-K021") from exc
-
-    def tick_lanes(self, lane_ids, statuses: list) -> None:
-        """Advance every lane in ``lane_ids`` one clock.
-
-        ``statuses[l]`` receives ``'active'`` / ``'stalled'`` / ``'done'``
-        — exactly what ``ProcessExec.tick()`` would have returned for that
-        lane. Lanes are grouped by schedule position so each generated
-        function is entered once per cycle, however many lanes sit there.
-        """
-        lanes = self.lanes
-        groups: dict = {}
-        for l in lane_ids:
-            pe = lanes[l]
-            if pe.done:
-                statuses[l] = "done"
-                continue
-            pe.cycles += 1
-            if pe.mode == "seq":
-                fns = self._seq_fns.get(pe.block)
-                if fns is None:  # interpreted fallback, per lane
-                    statuses[l] = pe._tick_seq()
-                    if statuses[l] == "stalled":
-                        pe.stall_cycles += 1
-                    continue
-                key = fns[pe.step]
-            else:
-                key = self._pipe_fns.get(pe.block)
-                if key is None:
-                    statuses[l] = pe._tick_pipe()
-                    if statuses[l] == "stalled":
-                        pe.stall_cycles += 1
-                    continue
-            grp = groups.get(key)
-            if grp is None:
-                groups[key] = [l]
-            else:
-                grp.append(l)
-        for fn, ls in groups.items():
-            fn(ls, statuses)
-            for l in ls:
-                if statuses[l] == "stalled":
-                    lanes[l].stall_cycles += 1
-
-    def tick_all(self) -> list:
-        """Convenience: tick every lane, returning the status list."""
-        statuses: list = [None] * self.n
-        self.tick_lanes(range(self.n), statuses)
-        return statuses

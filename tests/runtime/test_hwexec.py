@@ -199,3 +199,24 @@ void prod(co_stream input, co_stream output) {
     assert hw.hung
     assert hw.reason == "timeout"
     assert hw.watchdog is not None and hw.watchdog.reason == "timeout"
+
+
+def test_traced_execute_batch_counts_each_lane_once():
+    """A traced campaign must not count a lane's cycles twice: the lanes
+    land in ``runtime.execute_batch.lane_cycles`` only, because
+    ``execute_batch`` does not go through the public ``execute``."""
+    from perfbench import tracer as tracing
+    from repro.runtime import hwexec
+
+    image = synthesize(make_app([1, 2, 3]), assertions="optimized")
+    t = tracing.Tracer()
+    uninstall = tracing.install(t)
+    try:
+        lanes = hwexec.execute_batch(image, [(), ()])
+    finally:
+        uninstall()
+    assert t.calls("runtime.execute_batch") == 1
+    assert t.calls("runtime.execute") == 0
+    assert t.counters["runtime.execute_batch.lane_cycles"] == \
+        sum(r.cycles for r in lanes) > 0
+    assert "runtime.execute.sim_cycles" not in t.counters

@@ -1,13 +1,13 @@
-"""Lane-vs-scalar bit-identity of the batched (SoA) execution mode.
+"""Lane-vs-scalar identity of ``execute_batch`` and ``batch_lanes``.
 
-The batched executor's contract is stronger than "same outputs": lane i
-of ``execute_batch(image, lanes)`` must reproduce *everything*
-observable about ``execute(image)`` run scalar with lane i's feed and
-faults — outputs, cycle/stall counters, assertion failures and abort
-sites, watchdog classification, quarantine lists and fault event logs —
-while the other lanes keep running. These tests pin that contract on the
-paper's example applications across lane counts, assertion levels and
-injected runtime faults.
+``execute_batch(image, lane_faults)`` runs one scalar simulation per
+lane, so lane i must reproduce *everything* observable about
+``execute(image, faults=lane_faults[i])`` — outputs, cycle/stall
+counters, assertion failures and abort sites, watchdog classification,
+quarantine lists and fault event logs. These tests pin that contract on
+the paper's example applications across lane counts, assertion levels
+and injected runtime faults, and pin the campaign's ``batch_lanes``
+grouping to the scalar matrix.
 """
 
 import pytest
@@ -21,7 +21,7 @@ from repro.faults.runtime import (
     RegisterUpset,
     StuckAtBit,
 )
-from repro.runtime.hwexec import LaneSpec, execute, execute_batch
+from repro.runtime.hwexec import execute, execute_batch
 from repro.runtime.watchdog import WatchdogConfig
 
 TEXT = b"In-circuit!"
@@ -44,11 +44,7 @@ def image_for(app_name: str, level: str):
 
 
 def full_signature(res) -> dict:
-    """Everything a batched lane must reproduce from the scalar run.
-
-    ``process_stats`` drops the ``backend`` tag — that is the one field
-    that legitimately differs between the executors.
-    """
+    """Everything a lane must reproduce from the scalar run."""
     return {
         "completed": res.completed,
         "cycles": res.cycles,
@@ -61,52 +57,34 @@ def full_signature(res) -> dict:
         "first_failure_cycle": res.first_failure_cycle,
         "quarantined": sorted(res.quarantined),
         "watchdog": repr(res.watchdog),
-        "process_stats": {
-            name: {k: v for k, v in st.items() if k != "backend"}
-            for name, st in sorted(res.process_stats.items())
-        },
+        "process_stats": dict(sorted(res.process_stats.items())),
         "fault_events": list(res.fault_events),
     }
 
 
-def scalar_run(image, feed=None, faults=(), watchdog=None):
-    """Scalar reference with an optional feeder-data override."""
-    for f in faults:
-        f.reset()
-    sd = image.app.streams.get("feed")
-    saved = sd.feeder_data if sd is not None else None
-    try:
-        if feed is not None and sd is not None:
-            sd.feeder_data = list(feed)
-        return execute(image, faults=faults, watchdog=watchdog)
-    finally:
-        if sd is not None:
-            sd.feeder_data = saved
-
-
-def lane_feed(i: int) -> list[int]:
-    """Deterministic per-lane loopback stimulus; lane 2 trips the
-    ``buf[i & 15] > 0`` stage assertion with a zero word."""
-    if i == 0:
-        return list(range(1, 17))
-    if i == 2:
-        return [5, 0, 7]
-    return [(3 * i + k) % 251 + 1 for k in range(8 + (i % 5))]
+#: per-lane runtime faults on the 3-stage loopback; lane 2 flips the first
+#: feed word 1 -> 0, which trips the stage assertion when it is present
+LANE_FAULTS = [
+    (),
+    (ChannelBitFlip(target="link0", word_index=3, bit=5),),
+    (ChannelBitFlip(target="feed", word_index=0, bit=0),),
+    (RegisterUpset(target="stage1", cycle=20, reg_index=1, bit=2),),
+    (StuckAtBit(target="link1", bit=0, stuck_value=1),),
+]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_lane_count_sweep_loopback(n):
     image = image_for("loopback", "optimized")
-    feeds = [lane_feed(i) for i in range(n)]
-    batch = execute_batch(
-        image, [LaneSpec(feeder_data={"feed": f}) for f in feeds])
+    lane_faults = [LANE_FAULTS[i % len(LANE_FAULTS)] for i in range(n)]
+    batch = execute_batch(image, lane_faults)
     assert len(batch) == n
     for i, res in enumerate(batch):
-        ref = scalar_run(image, feed=feeds[i])
+        ref = execute(image, faults=lane_faults[i])
         assert full_signature(res) == full_signature(ref), f"lane {i}"
-    # sanity on content, not just self-consistency: clean lanes loop back
-    # their feed, the zero-word lane aborts on the stage assertion
-    assert batch[0].outputs["drain"] == expected_output(feeds[0])
+    # sanity on content, not just self-consistency: the clean lane loops
+    # back its feed, the zeroed-word lane aborts on the stage assertion
+    assert batch[0].outputs["drain"] == expected_output(range(1, 17))
     if n > 2:
         assert not batch[2].completed and batch[2].failures
 
@@ -115,21 +93,13 @@ def test_lane_count_sweep_loopback(n):
 @pytest.mark.parametrize("app_name", sorted(APPS))
 def test_example_apps_all_levels(app_name, level):
     image = image_for(app_name, level)
-    batch = execute_batch(image, [LaneSpec(), LaneSpec()])
+    batch = execute_batch(image, [(), ()])
     ref = full_signature(execute(image))
     for i, res in enumerate(batch):
         assert full_signature(res) == ref, f"lane {i}"
         assert res.completed
     for st in batch[0].process_stats.values():
-        assert st["backend"] in ("batched", "interp")
-
-
-LANE_FAULTS = [
-    (),
-    (ChannelBitFlip(target="link0", word_index=3, bit=5),),
-    (RegisterUpset(target="stage1", cycle=20, reg_index=1, bit=2),),
-    (StuckAtBit(target="link1", bit=0, stuck_value=1),),
-]
+        assert st["backend"] == "compiled"
 
 
 @pytest.mark.parametrize("level", ["none", "optimized"])
@@ -137,14 +107,10 @@ def test_per_lane_fault_injection(level):
     """Each lane gets its own fault set; classifications, event logs and
     watchdog reasons must match a scalar run of the same fault."""
     image = image_for("loopback", level)
-    batch = execute_batch(
-        image, [LaneSpec(faults=tuple(f)) for f in LANE_FAULTS])
+    batch = execute_batch(image, LANE_FAULTS)
     for i, faults in enumerate(LANE_FAULTS):
-        res = batch[i]
-        events_batched = list(res.fault_events)
-        ref = scalar_run(image, faults=faults)
-        assert full_signature(res) == full_signature(ref), f"lane {i}"
-        assert events_batched == list(ref.fault_events)
+        ref = execute(image, faults=faults)
+        assert full_signature(batch[i]) == full_signature(ref), f"lane {i}"
     # the clean lane is unaffected by its faulted siblings
     assert batch[0].completed
     assert batch[0].outputs["drain"] == expected_output(range(1, 17))
@@ -155,26 +121,21 @@ def test_watchdog_reason_per_lane():
     the same watchdog report a scalar run under the same config gets."""
     image = image_for("loopback", "optimized")
     cfg = WatchdogConfig(max_cycles=40, idle_limit=64)
-    feeds = [list(range(1, 17)), [9, 9, 9]]
-    batch = execute_batch(
-        image, [LaneSpec(feeder_data={"feed": f}) for f in feeds],
-        watchdog=cfg)
-    for i, res in enumerate(batch):
-        ref = scalar_run(image, feed=feeds[i], watchdog=cfg)
-        assert res.reason == ref.reason, f"lane {i}"
-        assert full_signature(res) == full_signature(ref), f"lane {i}"
-    # the 16-word lane blows the 40-cycle budget while its short sibling
-    # completes — per-lane classification, not batch-wide
-    assert not batch[0].completed and batch[0].watchdog is not None
-    assert batch[1].completed and batch[1].watchdog is None
+    batch = execute_batch(image, LANE_FAULTS, watchdog=cfg)
+    for i, faults in enumerate(LANE_FAULTS):
+        ref = execute(image, faults=faults, watchdog=cfg)
+        assert batch[i].reason == ref.reason, f"lane {i}"
+        assert full_signature(batch[i]) == full_signature(ref), f"lane {i}"
+    # the fault-free lane blows the 40-cycle budget while its zeroed-word
+    # sibling aborts on the assertion first — per lane, not batch-wide
+    assert batch[0].reason == "timeout" and batch[0].watchdog is not None
+    assert batch[2].reason == "aborted" and batch[2].watchdog is None
 
 
 def test_interp_backend_uses_lanewise_fallback():
-    """``sim_backend="interp"`` must still honor the batch contract —
-    through per-lane scalar interpreters, bit-identically."""
+    """``sim_backend="interp"`` reaches every lane's scalar run."""
     image = image_for("loopback", "optimized")
-    batch = execute_batch(image, [LaneSpec(), LaneSpec()],
-                          sim_backend="interp")
+    batch = execute_batch(image, [(), ()], sim_backend="interp")
     ref = full_signature(execute(image, sim_backend="interp"))
     for res in batch:
         assert full_signature(res) == ref
@@ -182,75 +143,21 @@ def test_interp_backend_uses_lanewise_fallback():
             assert st["backend"] == "interp"
 
 
-def test_empty_batch_rejected():
-    from repro.errors import SimCompileError
-
-    image = image_for("loopback", "none")
-    with pytest.raises(SimCompileError) as exc:
-        execute_batch(image, [])
-    assert exc.value.code == "RPR-K030"
-
-
 # ---- consumers --------------------------------------------------------------
 
 
 def test_campaign_batched_matches_scalar(tmp_path):
+    """``batch_lanes`` groups cells by image and runs them in-process; the
+    outcomes must equal a ``jobs=1`` scalar campaign's, outcome for
+    outcome — with each level's group split across several
+    ``execute_batch`` calls (2 lanes) and run in one (8 lanes)."""
     from repro.faults.campaign import run_campaign
 
-    def key(oc):
-        return (oc.scenario, oc.level, oc.classification, oc.reason,
-                oc.cycles, oc.detection_latency, oc.failures,
-                oc.quarantined, oc.events)
-
-    scalar = run_campaign("loopback", levels=("none", "optimized"),
-                          seed=0, count=6, cache_root=str(tmp_path / "c1"))
-    batched = run_campaign("loopback", levels=("none", "optimized"),
-                           seed=0, count=6, batch_lanes=8,
-                           cache_root=str(tmp_path / "c2"))
-    assert [key(o) for o in scalar.outcomes] == \
-        [key(o) for o in batched.outcomes]
-    assert not batched.harness_errors
-
-
-def test_difftest_scalar_vs_batched_phase():
-    from repro.difftest.generator import GenConfig, generate
-    from repro.difftest.oracle import run_difftest
-
-    for seed in range(6):
-        prog = generate(seed, GenConfig())
-        report = run_difftest(prog.render(), prog.feed,
-                              filename=f"seed{seed}.c", batch_lanes=4)
-        assert report.ok, report.divergence
-        assert report.batch_lanes == 4
-
-
-def test_difftest_batch_lanes_validation():
-    from repro.difftest.oracle import DifftestError, run_difftest
-
-    with pytest.raises(DifftestError) as exc:
-        run_difftest("void p(co_stream a) { }", [], batch_lanes=-1)
-    assert exc.value.code == "RPR-Y010"
-
-
-def test_difftest_spec_fingerprint_isolates_batch_lanes():
-    from repro.difftest.runner import DifftestSpec
-
-    plain = DifftestSpec(name="fp", seeds=(0, 4))
-    batched = DifftestSpec(name="fp", seeds=(0, 4), batch_lanes=4)
-    assert plain.fingerprint() != batched.fingerprint()
-    # disabled batching keeps historical run ids resolvable
-    assert plain.fingerprint() == \
-        DifftestSpec(name="fp", seeds=(0, 4), batch_lanes=0).fingerprint()
-
-
-def test_sweep_point_lane_validation(tmp_path):
-    from repro.lab.cache import SynthesisCache
-    from repro.lab.sweep import AppSpec, SweepPoint, evaluate_point_cached
-
-    point = SweepPoint(point_id="lb/opt",
-                       app=AppSpec.make("loopback", n=3),
-                       level="optimized")
-    record = evaluate_point_cached(
-        point, SynthesisCache(str(tmp_path)), validate_lanes=3)
-    assert record["validate_lanes"] == 3
-    assert record["lane_check"] == "ok"
+    kw = dict(levels=("none", "optimized"), seed=0, count=6)
+    scalar = run_campaign("loopback", cache_root=str(tmp_path / "c1"), **kw)
+    for lanes in (2, 8):
+        batched = run_campaign("loopback", batch_lanes=lanes,
+                               cache_root=str(tmp_path / f"c{lanes}"), **kw)
+        assert batched.outcomes == scalar.outcomes, lanes
+        assert batched.matrix() == scalar.matrix(), lanes
+        assert not batched.harness_errors

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.loopback import build_loopback
 from repro.hls.cyclemodel import Channel
 from repro.lab.cache import SynthesisCache
 from repro.simc import (
@@ -139,72 +140,38 @@ def test_clear_memo_resets_stats(tmp_path, cp):
         "code_hits": 0, "code_misses": 0}
 
 
-def test_scalar_and_batched_sched_keys_do_not_alias(tmp_path, cp):
-    """Scalar and batched (SoA) source are keyed by the *same* schedule
-    digest; only the kind namespace separates them. A collision would
-    hand a scalar executor N-lane source (or vice versa) — in the serve
-    daemon, across every thread sharing the memo."""
-    from repro.simc import batched_sched_source
-
-    cache = SynthesisCache(tmp_path / "c")
-    scalar = sched_exec_source(cp.schedule, cache=cache)
-    batched = batched_sched_source(cp.schedule, cache=cache)
-    assert scalar != batched
-    assert cache.stats.stores == 2  # two distinct disk keys
-    clear_memo()  # fresh process, same disk cache: still no aliasing
-    assert sched_exec_source(cp.schedule, cache=cache) == scalar
-    assert batched_sched_source(cp.schedule, cache=cache) == batched
-
-
-def test_scalar_and_batched_rtl_keys_do_not_alias(tmp_path, cp):
-    from repro.simc import batched_rtl_source
-
-    cache = SynthesisCache(tmp_path / "c")
-    scalar = rtl_sim_source(cp.rtl, ("input",), ("output",), cache=cache)
-    batched = batched_rtl_source(cp.rtl, ("input",), ("output",),
-                                 cache=cache)
-    assert scalar != batched
-    assert cache.stats.stores == 2
-    clear_memo()
-    assert rtl_sim_source(cp.rtl, ("input",), ("output",),
-                          cache=cache) == scalar
-    assert batched_rtl_source(cp.rtl, ("input",), ("output",),
-                              cache=cache) == batched
-
-
 def test_memo_keys_embed_the_backend_kind(tmp_path, cp):
     """The memo key string carries the kind (``simc-sched-…`` vs
-    ``simc-sched-batch-…``) *in addition to* the kind's slot in the
-    fingerprint — aliasing would need both to collide at once."""
-    from repro.simc import batched_sched_source
+    ``simc-rtl-…``) *in addition to* the kind's slot in the fingerprint —
+    aliasing would need both to collide at once."""
     from repro.simc.codecache import _SOURCE_MEMO
 
     cache = SynthesisCache(tmp_path / "c")
     sched_exec_source(cp.schedule, cache=cache)
-    batched_sched_source(cp.schedule, cache=cache)
+    rtl_sim_source(cp.rtl, ("input",), ("output",), cache=cache)
     kinds = sorted(k.rsplit("-", 1)[0] for k in _SOURCE_MEMO)
-    assert kinds == ["simc-sched", "simc-sched-batch"]
+    assert kinds == ["simc-rtl", "simc-sched"]
 
 
 def test_memo_safe_under_concurrent_mixed_backend_codegen(tmp_path, cp):
-    """Serve-daemon shape: many threads generating scalar *and* batched
+    """Serve-daemon shape: many threads generating cycle-model *and* RTL
     source for the same design through one shared memo. Every thread
-    must get the bytes its backend asked for — never the sibling
-    backend's — and the memo must settle to one entry per kind."""
+    must get the bytes its kind asked for — never the sibling kind's —
+    and the memo must settle to one entry per kind."""
     import threading
 
-    from repro.simc import batched_rtl_source, batched_sched_source
     from repro.simc.codecache import _SOURCE_MEMO
 
     cache = SynthesisCache(tmp_path / "c")
-    refs = {
-        "sched": sched_exec_source(cp.schedule, cache=cache),
-        "sched-batch": batched_sched_source(cp.schedule, cache=cache),
-        "rtl": rtl_sim_source(cp.rtl, ("input",), ("output",),
-                              cache=cache),
-        "rtl-batch": batched_rtl_source(cp.rtl, ("input",), ("output",),
-                                        cache=cache),
-    }
+
+    def generate_both() -> dict:
+        return {
+            "sched": sched_exec_source(cp.schedule, cache=cache),
+            "rtl": rtl_sim_source(cp.rtl, ("input",), ("output",),
+                                  cache=cache),
+        }
+
+    refs = generate_both()
     clear_memo()  # hammer from a cold memo so threads race the misses
     errors: list[str] = []
     start = threading.Barrier(16)
@@ -212,16 +179,7 @@ def test_memo_safe_under_concurrent_mixed_backend_codegen(tmp_path, cp):
     def hammer(tid: int) -> None:
         start.wait()
         for _ in range(20):
-            got = {
-                "sched": sched_exec_source(cp.schedule, cache=cache),
-                "sched-batch": batched_sched_source(cp.schedule,
-                                                    cache=cache),
-                "rtl": rtl_sim_source(cp.rtl, ("input",), ("output",),
-                                      cache=cache),
-                "rtl-batch": batched_rtl_source(
-                    cp.rtl, ("input",), ("output",), cache=cache),
-            }
-            for kind, src in got.items():
+            for kind, src in generate_both().items():
                 if src != refs[kind]:
                     errors.append(f"t{tid}: {kind} got foreign source")
 
@@ -232,7 +190,59 @@ def test_memo_safe_under_concurrent_mixed_backend_codegen(tmp_path, cp):
     for t in threads:
         t.join()
     assert not errors, errors[:3]
-    assert len(_SOURCE_MEMO) == 4  # one entry per kind, no dupes
+    assert len(_SOURCE_MEMO) == 2  # one entry per kind, no dupes
+
+
+#: sha256 over the scalar generated source of every process of each app at
+#: the ``optimized`` level (processes in name order), recorded before the
+#: structure-of-arrays emitters were removed: scalar emission must stay
+#: byte-identical so on-disk codegen entries under ``CODEGEN_SCHEMA`` stay
+#: valid
+SCALAR_SOURCE_DIGESTS = {
+    "loopback:3": (
+        "586cf0a660708ce71769be77f0e2df502c1545c1eede7c6c25fb230acdf2da9e",
+        "6859ac793e5c13338e55f64f296f4408c45dd9e5bab9a32b32641b01ac85b25b"),
+    "edge": (
+        "1f646c5ecf7ecb415879fc5cec2d16a70395eceb0df4ec76057b22e7fe9396e6",
+        "b7a8b27ad02d1e1f5d5d2d698b6da99bf6fc7f8fe341df6f0766d734bc6e29be"),
+    "tripledes": (
+        "8ef12504dd5f4886edea521ea9ece798d2bab438218ec6c291e0bd8e1c7dac9f",
+        "149a65c839f041c064ea6ed7ca55bb94b7dc1e313b3a3d8f4cfd54d1f57bf8f4"),
+}
+
+
+@pytest.mark.parametrize("app_name", sorted(SCALAR_SOURCE_DIGESTS))
+def test_scalar_source_is_byte_identical_to_recorded_digests(app_name):
+    import hashlib
+
+    from repro.apps.edge_detect import build_edge_app
+    from repro.apps.tripledes import build_tdes_app
+    from repro.core.synth import synthesize
+    from repro.simc import generate_rtl_source, generate_sched_source
+    from repro.simc.codecache import CODEGEN_SCHEMA
+
+    build = {
+        "loopback:3": lambda: build_loopback(3),
+        "edge": build_edge_app,
+        "tripledes": lambda: build_tdes_app(b"In-circuit!"),
+    }[app_name]
+    image = synthesize(build(), assertions="optimized")
+
+    def ports(module, suffix):
+        return tuple(sorted(p.signal.name[:-len(suffix)]
+                            for p in module.ports
+                            if p.signal.name.endswith(suffix)))
+
+    sched = hashlib.sha256()
+    rtl = hashlib.sha256()
+    for name in sorted(image.compiled):
+        cp = image.compiled[name]
+        sched.update(generate_sched_source(cp.schedule).encode())
+        rtl.update(generate_rtl_source(
+            cp.rtl, ports(cp.rtl, "_re"), ports(cp.rtl, "_we")).encode())
+    assert (sched.hexdigest(), rtl.hexdigest()) == \
+        SCALAR_SOURCE_DIGESTS[app_name]
+    assert CODEGEN_SCHEMA == 2
 
 
 def test_memo_reuse_is_bit_identical_across_jobs(tmp_path, cp):
