@@ -247,11 +247,16 @@ class RuntimeFaultInjector:
     channel or process names raise :class:`FaultError`, mirroring
     :func:`repro.faults.ir.apply_faults`'s matched-nothing check), rearms
     the faults, and hooks them into the channels. The executor then calls
-    ``tick()`` once per clock.
+    ``tick()`` once per clock; it calls ``on_cycle`` only on the faults
+    whose class overrides it.
     """
 
     def __init__(self, faults=()):
         self.faults = list(faults)
+        self._cycle_faults = [
+            f for f in self.faults
+            if type(f).on_cycle is not RuntimeFault.on_cycle
+        ]
         self.cycle = 0
         self._execs: dict = {}
         self._hooked: list = []
@@ -285,7 +290,7 @@ class RuntimeFaultInjector:
 
     def tick(self) -> None:
         self.cycle += 1
-        for fault in self.faults:
+        for fault in self._cycle_faults:
             fault.on_cycle(self.cycle, self._execs)
 
     def event_log(self) -> list[str]:

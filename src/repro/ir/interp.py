@@ -29,7 +29,7 @@ from repro.ir.function import IRFunction
 from repro.ir.instr import AssertionSite, Branch, Jump, Return
 from repro.ir.ops import OpKind
 from repro.ir.values import Const, Temp, Value
-from repro.utils.bitops import truncate
+from repro.utils.bitops import mask, truncate
 
 
 @dataclass
@@ -74,76 +74,109 @@ class Interp:
     def write(self, temp: Temp, pattern: int) -> None:
         self.env[temp.name] = truncate(pattern, temp.ty.width)
 
-    # ---- arithmetic ----------------------------------------------------------
+    # ---- pre-decoding --------------------------------------------------------
 
-    def _binop_numeric(self, op: OpKind, a: Value, b: Value) -> int:
-        return semantics.binop(
-            op, self.read(a), a.ty, self.read(b), b.ty, where=self.func.name
-        )
+    def _getter(self, value: Value) -> Callable[[], int]:
+        """A thunk reading ``value`` (raising RPR-X001 when executed if it
+        is not an operand)."""
+        if isinstance(value, Const):
+            c = value.value
+            return lambda: c
+        if isinstance(value, Temp):
+            env, name = self.env, value.name
+            return lambda: env[name]
+        return lambda: self.read(value)
 
-    def _compare(self, op: OpKind, a: Value, b: Value) -> int:
-        return semantics.compare(op, self.read(a), a.ty, self.read(b), b.ty)
+    def _decode(self, instr) -> Callable[[], None] | None:
+        """One computation or memory access with its operand types, common
+        type, masks and handler resolved; None for the operations that talk
+        to the driver, which :meth:`run` executes itself."""
+        func, env, op, args = self.func, self.env, instr.op, instr.args
+        get = [self._getter(a) for a in args]
+        if op in (OpKind.LOAD, OpKind.STORE):
+            return self._access(instr, get)
+        if op in (OpKind.MOV, OpKind.TRUNC, OpKind.ZEXT, OpKind.SEXT):
+            # the hardware cycle model evaluates casts through
+            # semantics.cast; using the same definition here means the two
+            # paths cannot drift apart
+            h = semantics.cast_fn(op, args[0].ty)
+        elif op in (OpKind.NEG, OpKind.NOT, OpKind.LNOT):
+            h = semantics.unop_fn(op, args[0].ty)
+        elif op in _BINOPS:
+            h = semantics.binop_fn(op, args[0].ty, args[1].ty, where=func.name)
+        elif op in _COMPARES:
+            h = semantics.compare_fn(op, args[0].ty, args[1].ty)
+        elif op == OpKind.SELECT:
+            cond, a, b = get
+            ia, ib = (semantics.interpreter(v.ty) for v in args[1:])
+            get = [lambda: ia(a()) if cond() != 0 else ib(b())]
+            h = _identity
+        else:
+            return None
+        d, dm = instr.dest.name, mask(instr.dest.ty.width)
+        if len(get) == 1:
+            (g,) = get
+
+            def unary() -> None:
+                env[d] = h(g()) & dm
+            return unary
+        ga, gb = get
+
+        def binary() -> None:
+            env[d] = h(ga(), gb()) & dm
+        return binary
+
+    def _access(self, instr, get) -> Callable[[], None]:
+        """A decoded LOAD or STORE, bounds-checked like C on the host."""
+        func, env, name = self.func, self.env, instr.attrs["array"]
+        mem, ii = self.memories[name], semantics.interpreter(instr.args[0].ty)
+        idx = get[0]
+        if instr.op == OpKind.LOAD:
+            d, dm = instr.dest.name, mask(instr.dest.ty.width)
+
+            def load() -> None:
+                i = ii(idx())
+                if not (0 <= i < len(mem)):
+                    raise SimulationError(
+                        f"{func.name}: out-of-bounds read "
+                        f"{name}[{i}] (size {len(mem)})", code="RPR-X003")
+                env[d] = mem[i] & dm
+            return load
+        value, em = get[1], mask(func.arrays[name].elem.width)
+
+        def store() -> None:
+            i = ii(idx())
+            if not (0 <= i < len(mem)):
+                raise SimulationError(
+                    f"{func.name}: out-of-bounds write "
+                    f"{name}[{i}] (size {len(mem)})", code="RPR-X004")
+            mem[i] = value() & em
+        return store
 
     # ---- main loop -----------------------------------------------------------
 
     def run(self) -> Generator[tuple, object, InterpResult]:
         func = self.func
+        code = {
+            name: [(instr, self._decode(instr)) for instr in block.instrs]
+            for name, block in func.blocks.items()
+        }
         result = InterpResult(returned=False)
         block = func.blocks[func.entry]
+        ops = code[func.entry]
+        max_steps = self.max_steps
         steps = 0
         while True:
-            for instr in block.instrs:
+            for instr, decoded in ops:
                 steps += 1
-                if steps > self.max_steps:
+                if steps > max_steps:
                     raise SimulationError(
-                        f"{func.name}: exceeded {self.max_steps} interpreter steps", code="RPR-X002")
+                        f"{func.name}: exceeded {max_steps} interpreter steps", code="RPR-X002")
+                if decoded is not None:
+                    decoded()
+                    continue
                 op = instr.op
-                if op in (OpKind.MOV, OpKind.TRUNC, OpKind.ZEXT, OpKind.SEXT):
-                    # the hardware cycle model evaluates casts through
-                    # semantics.cast; using the same function here means the
-                    # two paths cannot drift apart
-                    src = instr.args[0]
-                    self.write(instr.dest,
-                               semantics.cast(op, self.read(src), src.ty))
-                elif op in (OpKind.NEG, OpKind.NOT, OpKind.LNOT):
-                    src = instr.args[0]
-                    self.write(instr.dest,
-                               semantics.unop(op, self.read(src), src.ty))
-                elif op == OpKind.SELECT:
-                    cond, a, b = instr.args
-                    chosen = a if self.read(cond) != 0 else b
-                    src_val = semantics.interpret(self.read(chosen), chosen.ty)
-                    self.write(instr.dest, src_val)
-                elif op in (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV,
-                            OpKind.MOD, OpKind.AND, OpKind.OR, OpKind.XOR,
-                            OpKind.SHL, OpKind.SHR):
-                    r = self._binop_numeric(op, instr.args[0], instr.args[1])
-                    self.write(instr.dest, r)
-                elif op in (OpKind.EQ, OpKind.NE, OpKind.LT, OpKind.LE,
-                            OpKind.GT, OpKind.GE):
-                    self.write(instr.dest,
-                               self._compare(op, instr.args[0], instr.args[1]))
-                elif op == OpKind.LOAD:
-                    mem = self.memories[instr.attrs["array"]]
-                    idx = self.read(instr.args[0])
-                    idx_s = semantics.interpret(idx, instr.args[0].ty)
-                    if not (0 <= idx_s < len(mem)):
-                        raise SimulationError(
-                            f"{func.name}: out-of-bounds read "
-                            f"{instr.attrs['array']}[{idx_s}] (size {len(mem)})", code="RPR-X003")
-                    self.write(instr.dest, mem[idx_s])
-                elif op == OpKind.STORE:
-                    mem = self.memories[instr.attrs["array"]]
-                    idx = self.read(instr.args[0])
-                    idx_s = semantics.interpret(idx, instr.args[0].ty)
-                    if not (0 <= idx_s < len(mem)):
-                        raise SimulationError(
-                            f"{func.name}: out-of-bounds write "
-                            f"{instr.attrs['array']}[{idx_s}] (size {len(mem)})", code="RPR-X004")
-                    value = instr.args[1]
-                    arr = func.arrays[instr.attrs["array"]]
-                    mem[idx_s] = truncate(self.read(value), arr.elem.width)
-                elif op == OpKind.STREAM_READ:
+                if op == OpKind.STREAM_READ:
                     reply = yield ("read", instr.attrs["stream"])
                     ok, value = reply  # type: ignore[misc]
                     ok_t, val_t = instr.dests
@@ -184,16 +217,28 @@ class Interp:
 
             term = block.term
             if isinstance(term, Jump):
-                block = func.blocks[term.target]
+                target = term.target
             elif isinstance(term, Branch):
                 taken = self.read(term.cond) != 0
-                block = func.blocks[term.iftrue if taken else term.iffalse]
+                target = term.iftrue if taken else term.iffalse
             elif isinstance(term, Return):
                 result.returned = True
                 result.steps = steps
                 return result
             else:  # pragma: no cover - verifier excludes this
                 raise SimulationError(f"bad terminator {term!r}", code="RPR-X006")
+            block, ops = func.blocks[target], code[target]
+
+
+_BINOPS = frozenset((OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV,
+                     OpKind.MOD, OpKind.AND, OpKind.OR, OpKind.XOR,
+                     OpKind.SHL, OpKind.SHR))
+_COMPARES = frozenset((OpKind.EQ, OpKind.NE, OpKind.LT, OpKind.LE,
+                       OpKind.GT, OpKind.GE))
+
+
+def _identity(v: int) -> int:
+    return v
 
 
 def run_to_completion(

@@ -24,6 +24,7 @@ completion.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.faults.runtime import RuntimeFaultInjector
@@ -208,17 +209,16 @@ class _Collector:
     def __init__(self, spec: CollectorSpec, taps: dict[str, Channel],
                  out: Channel):
         self.spec = spec
-        self.taps = taps
+        self.inputs = [(taps[name], 1 << bit) for name, bit in spec.inputs]
         self.out = out
         self.pending = 0
 
     def tick(self) -> bool:
         active = False
-        for name, bit in self.spec.inputs:
-            ch = self.taps[name]
-            while ch.can_pop():
+        for ch, bit in self.inputs:
+            while ch.queue:
                 ch.pop()
-                self.pending |= 1 << bit
+                self.pending |= bit
                 active = True
         if self.pending and self.out.can_push():
             self.out.push(self.pending)
@@ -330,40 +330,52 @@ def _execute(image: HardwareImage, cfg: WatchdogConfig, backend: str,
 
     result = HwResult(completed=False, cycles=0, reason=TIMEOUT,
                       backend_diagnostics=backend_diags)
+    # per-run invariants of the cycle loop
     fed_order = sorted(feeders)
     sink_order = sorted(cpu_outputs)
+    feeds = [(channels[name], deque(feeders[name])) for name in fed_order]
+    sinks = [(name, channels[name]) for name in sink_order]
+    ticks = [pe.tick for pe in execs.values()]
+    collector_ticks = [c.tick for c in collectors]
+    # non-daemon executors not yet known to be done, last one checked
+    # first; ``done`` never resets, so a finished executor is dropped once
+    waited = [execs[pd.name] for pd in reversed(app.fpga_processes())
+              if not pd.daemon]
+    # feeders the board has not yet drained and closed; only the board
+    # closes a feeder, so the scan stops for good once this reaches 0
+    unclosed = len(feeds)
     feed_rr = 0
     sink_rr = 0
     halted = False
 
     def board_tick() -> bool:
-        nonlocal feed_rr, sink_rr
+        nonlocal feed_rr, sink_rr, unclosed
         moved = False
         # CPU -> FPGA: one word per cycle across all feeder streams
-        for k in range(len(fed_order)):
-            name = fed_order[(feed_rr + k) % len(fed_order)]
-            ch = channels[name]
-            data = feeders[name]
-            if data and ch.can_push():
-                ch.push(data.pop(0))
-                if not data:
+        if unclosed:
+            n = len(feeds)
+            for k in range(n):
+                ch, data = feeds[(feed_rr + k) % n]
+                if data and ch.can_push():
+                    ch.push(data.popleft())
+                    if not data:
+                        ch.close()
+                        unclosed -= 1
+                    feed_rr = (feed_rr + k + 1) % n
+                    moved = True
+                    break
+                if not data and not ch.closed:
                     ch.close()
-                feed_rr = (feed_rr + k + 1) % len(fed_order)
-                moved = True
-                break
-            if not data and not ch.closed:
-                ch.close()
-                moved = True
+                    unclosed -= 1
+                    moved = True
         # FPGA -> CPU: one word per cycle across all sink streams
-        for k in range(len(sink_order)):
-            name = sink_order[(sink_rr + k) % len(sink_order)]
-            ch = channels[name]
-            if ch.can_pop():
-                word = ch.pop()
-                _deliver(name, word)
-                sink_rr = (sink_rr + k + 1) % len(sink_order)
-                moved = True
-                break
+        n = len(sinks)
+        for k in range(n):
+            name, ch = sinks[(sink_rr + k) % n]
+            if ch.queue:
+                _deliver(name, ch.pop())
+                sink_rr = (sink_rr + k + 1) % n
+                return True
         return moved
 
     def _deliver(stream: str, word: int) -> None:
@@ -386,18 +398,19 @@ def _execute(image: HardwareImage, cfg: WatchdogConfig, backend: str,
         _LatencyMonitor(region, taps) for region in image.latency_regions
     ]
     wd = Watchdog(cfg, app=app, execs=execs, channels=channels)
+    observe = wd.observe
+    inject = injector.tick
     quarantine_rounds = 0
 
     for _cycle in range(cfg.max_cycles):
         result.cycles += 1
-        injector.tick()
+        inject()
         active = board_tick()
-        for collector in collectors:
-            if collector.tick():
+        for tick in collector_ticks:
+            if tick():
                 active = True
-        for pe in execs.values():
-            status = pe.tick()
-            if status == "active":
+        for tick in ticks:
+            if tick() == "active":
                 active = True
         for monitor in monitors:
             if monitor.tick(result.cycles):
@@ -414,17 +427,15 @@ def _execute(image: HardwareImage, cfg: WatchdogConfig, backend: str,
         if halted:
             result.reason = ABORTED
             break
-        blocking = [
-            pd.name for pd in app.fpga_processes()
-            if not pd.daemon and not execs[pd.name].done
-        ]
-        if not blocking:
+        while waited and waited[-1].done:
+            waited.pop()
+        if not waited:
             # the application is done, but failure notifications may still
             # be in flight through checker pipelines, collectors and the
             # board link — drain everything before declaring completion
             drained = (
-                all(not channels[name].can_pop() for name in sink_order)
-                and all(not ch.can_pop() for ch in taps.values())
+                all(not ch.queue for _name, ch in sinks)
+                and all(not ch.queue for ch in taps.values())
                 and all(c.pending == 0 for c in collectors)
                 and not active
             )
@@ -432,7 +443,7 @@ def _execute(image: HardwareImage, cfg: WatchdogConfig, backend: str,
                 result.completed = True
                 result.reason = COMPLETED
                 break
-        verdict = wd.observe(active)
+        verdict = observe(active)
         if verdict is not None:
             # graceful degradation: under NABORT the stuck processes are
             # quarantined (retired, their output streams closed) so the

@@ -107,15 +107,13 @@ class Watchdog:
         self.app = app
         self.execs = execs
         self.channels = channels
+        self._progress_chs = tuple(channels.values())
         self.cycle = 0
         self.idle = 0
         self.stagnant = 0
         self._last_progress = -1
         self._window_ops: dict[str, int] = {}
         self.quarantined: list[str] = []
-
-    def _progress(self) -> int:
-        return sum(ch.pushes + ch.pops for ch in self.channels.values())
 
     def observe(self, active: bool) -> str | None:
         self.cycle += 1
@@ -125,7 +123,7 @@ class Watchdog:
             self.idle += 1
             if self.idle >= self.config.idle_limit:
                 return DEADLOCK
-        progress = self._progress()
+        progress = sum([ch.pushes + ch.pops for ch in self._progress_chs])
         if progress != self._last_progress:
             self._last_progress = progress
             self.stagnant = 0

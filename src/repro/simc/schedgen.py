@@ -823,11 +823,11 @@ def sched_exec_source(fsched: FunctionSchedule, cache=None) -> str:
 class CompiledProcessExec(ProcessExec):
     """Hybrid :class:`ProcessExec` with blocks compiled to bytecode.
 
-    ``_tick_seq`` dispatches to a compiled per-``(block, step)`` function
-    and ``_tick_pipe`` to a compiled per-pipeline tick function; any block
-    the codegen skipped falls back to the interpreted path mid-run (same
-    semantics, shared state). Raises :class:`SimCompileError` when the
-    schedule cannot be specialized.
+    ``tick`` dispatches to a compiled per-``(block, step)`` function or a
+    compiled per-pipeline tick function; any block the codegen skipped
+    falls back to the interpreted path mid-run (same semantics, shared
+    state). Raises :class:`SimCompileError` when the schedule cannot be
+    specialized.
     """
 
     backend = "compiled"
@@ -865,33 +865,27 @@ class CompiledProcessExec(ProcessExec):
 
     def _sc_div(self, a: int, b: int) -> int:
         """C truncating division."""
-        if b == 0:
-            raise SimulationError(
-                f"{self.name}: division by zero", code="RPR-X010")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return q
+        return semantics.c_div(a, b, self.name)
 
     def _sc_mod(self, a: int, b: int) -> int:
-        if b == 0:
-            raise SimulationError(
-                f"{self.name}: division by zero", code="RPR-X010")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return a - q * b
+        return a - semantics.c_div(a, b, self.name) * b
 
     # ---- clocking --------------------------------------------------------------
 
-    def _tick_seq(self) -> str:
-        fns = self._seq_fns.get(self.block)
-        if fns is None:
-            return ProcessExec._tick_seq(self)
-        return fns[self.step]()
-
-    def _tick_pipe(self) -> str:
-        fn = self._pipe_fns.get(self.block)
-        if fn is None:
-            return ProcessExec._tick_pipe(self)
-        return fn()
+    def tick(self) -> str:
+        """:meth:`ProcessExec.tick`, calling the compiled step or pipeline
+        function directly; a block the codegen skipped ticks through the
+        inherited interpreter."""
+        if self.done:
+            return "done"
+        self.cycles += 1
+        if self.mode == "seq":
+            fns = self._seq_fns.get(self.block)
+            status = (fns[self.step]() if fns is not None
+                      else self._tick_seq())
+        else:
+            fn = self._pipe_fns.get(self.block)
+            status = fn() if fn is not None else self._tick_pipe()
+        if status == "stalled":
+            self.stall_cycles += 1
+        return status

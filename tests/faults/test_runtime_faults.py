@@ -10,6 +10,7 @@ from repro.faults import (
     DuplicateWord,
     NarrowCompare,
     RegisterUpset,
+    RuntimeFault,
     RuntimeFaultInjector,
     StreamStall,
     StuckAtBit,
@@ -142,6 +143,60 @@ def test_injector_detach_removes_only_its_own_faults():
     inj.detach()
     # identity-based removal: the equal-but-distinct fault must survive
     assert ch.faults == [other]
+
+
+class _CycleProbe(RuntimeFault):
+    """A test-local fault that overrides ``on_cycle``."""
+
+    def reset(self) -> None:
+        super().reset()
+        self.seen = []
+
+    def on_cycle(self, now, execs):
+        self.seen.append(now)
+
+
+class _FakeExec:
+    done = False
+
+    def __init__(self):
+        self.upsets = []
+
+    def upset_register(self, reg_index, bit):
+        self.upsets.append((reg_index, bit))
+        return "r", bit
+
+
+def test_injector_calls_on_cycle_on_the_faults_that_override_it():
+    probe = _CycleProbe()
+    upset = RegisterUpset(target="p", cycle=2, reg_index=1, bit=3)
+    stall = StreamStall(target="c", start_cycle=1, duration=1)
+    pe = _FakeExec()
+    inj = RuntimeFaultInjector([stall, probe, upset])
+    inj.attach({"c": Channel("c")}, {"p": pe})
+    for _ in range(3):
+        inj.tick()
+    assert probe.seen == [1, 2, 3]
+    assert pe.upsets == [(1, 3)]
+    assert upset.events == ["cycle 2: p.r bit 3 flipped"]
+
+
+def test_stall_only_injector_still_advances_the_channel_clock():
+    ch = Channel("c", width=8, depth=8)
+    inj = attach(ch, StreamStall(target="c", start_cycle=2, duration=1))
+    inj.tick()
+    assert inj.cycle == 1 and ch.can_push()
+    inj.tick()
+    assert inj.cycle == 2 and not ch.can_push()
+    inj.tick()
+    assert inj.cycle == 3 and ch.can_push()
+
+
+def test_overriding_fault_sees_every_cycle_of_a_run():
+    probe = _CycleProbe()
+    res = run_with([probe])
+    assert res.completed
+    assert probe.seen == list(range(1, res.cycles + 1))
 
 
 # ---- misconfiguration ------------------------------------------------------

@@ -1,10 +1,16 @@
 """Property tests: IR op semantics agree with Python big-int arithmetic."""
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.frontend.ctypes_ import CType
+from repro.errors import SimulationError
+from repro.frontend.ctypes_ import CType, common_type
 from repro.ir import semantics
+from repro.ir.function import IRFunction
+from repro.ir.instr import BasicBlock, Instr, Return
+from repro.ir.interp import Interp
 from repro.ir.ops import OpKind
+from repro.ir.values import Const
 from repro.utils.bitops import sign_extend, truncate
 
 widths = st.integers(min_value=1, max_value=64)
@@ -162,3 +168,146 @@ def test_mov_trunc_normalize_at_source_width(a):
     wide = av | (1 << 65)  # junk above the source width must be dropped
     assert semantics.cast(OpKind.MOV, wide, at) == truncate(wide, at.width)
     assert semantics.cast(OpKind.TRUNC, wide, at) == truncate(wide, at.width)
+
+
+# ---- pre-decoded interpreter handlers ----------------------------------------
+# ``Interp`` resolves each instruction's types, common type, masks and
+# handler once, before it runs. Each handler must agree with the one-shot
+# evaluators in ``semantics``, and both with the per-call definition of the
+# C rules written out below as an oracle (the evaluators' form before the
+# specializers existed).
+
+BINOPS = [OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.MOD,
+          OpKind.AND, OpKind.OR, OpKind.XOR, OpKind.SHL, OpKind.SHR]
+COMPARES = [OpKind.EQ, OpKind.NE, OpKind.LT, OpKind.LE, OpKind.GT,
+            OpKind.GE]
+UNOPS = [OpKind.NEG, OpKind.NOT, OpKind.LNOT]
+CASTS = [OpKind.MOV, OpKind.TRUNC, OpKind.ZEXT, OpKind.SEXT]
+
+
+def _ref_operands(x, xty, y, yty):
+    ct = common_type(xty, yty)
+    xv = semantics.interpret(truncate(semantics.interpret(x, xty), ct.width), ct)
+    yv = semantics.interpret(truncate(semantics.interpret(y, yty), ct.width), ct)
+    return xv, yv, ct
+
+
+def _ref_binop(op, x, xty, y, yty):
+    if op in (OpKind.SHL, OpKind.SHR):
+        amt = truncate(y, yty.width) % 64
+        if op == OpKind.SHL:
+            return semantics.interpret(x, xty) << amt
+        if xty.signed:
+            return semantics.interpret(x, xty) >> amt
+        return truncate(x, xty.width) >> amt
+    xv, yv, ct = _ref_operands(x, xty, y, yty)
+    if op in (OpKind.DIV, OpKind.MOD):
+        if yv == 0:
+            return None  # division by zero
+        q = _c_div(xv, yv)
+        return q if op == OpKind.DIV else xv - q * yv
+    return {
+        OpKind.ADD: lambda: xv + yv,
+        OpKind.SUB: lambda: xv - yv,
+        OpKind.MUL: lambda: xv * yv,
+        OpKind.AND: lambda: truncate(xv, ct.width) & truncate(yv, ct.width),
+        OpKind.OR: lambda: truncate(xv, ct.width) | truncate(yv, ct.width),
+        OpKind.XOR: lambda: truncate(xv, ct.width) ^ truncate(yv, ct.width),
+    }[op]()
+
+
+def _ref_compare(op, x, xty, y, yty):
+    xv, yv, _ct = _ref_operands(x, xty, y, yty)
+    return int({
+        OpKind.EQ: xv == yv, OpKind.NE: xv != yv, OpKind.LT: xv < yv,
+        OpKind.LE: xv <= yv, OpKind.GT: xv > yv, OpKind.GE: xv >= yv,
+    }[op])
+
+
+def _ref_unop(op, x, xty):
+    if op == OpKind.NEG:
+        return -semantics.interpret(x, xty)
+    if op == OpKind.NOT:
+        return ~truncate(x, xty.width)
+    return int(truncate(x, xty.width) == 0)
+
+
+def _ref_cast(op, x, xty):
+    if op == OpKind.SEXT:
+        return sign_extend(x, xty.width)
+    return truncate(x, xty.width)
+
+
+ctypes = st.builds(CType, widths, st.booleans())
+
+
+@st.composite
+def operand(draw):
+    """(pattern, type, is_const): a Temp or a Const operand."""
+    v, ty = draw(typed_value())
+    return v, ty, draw(st.booleans())
+
+
+def run_decoded(op, dest_ty, operands):
+    """Execute one pre-decoded ``dest = op(operands)`` through ``Interp``."""
+    func = IRFunction(name="h")
+    args = [Const(v, ty) if is_const else func.declare_scalar(f"a{i}", ty)
+            for i, (v, ty, is_const) in enumerate(operands)]
+    dest = func.declare_scalar("d", dest_ty)
+    func.add_block(BasicBlock("entry", [Instr(op, [dest], args)], Return()))
+    interp = Interp(func)
+    for i, (v, _ty, is_const) in enumerate(operands):
+        if not is_const:
+            interp.env[f"a{i}"] = v
+    with pytest.raises(StopIteration):
+        next(interp.run())
+    return interp.env["d"]
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(BINOPS), operand(), operand(), ctypes)
+@example(OpKind.SHL, (0xFFFF, CType(16, True), False),
+         (3, CType(32, False), True), CType(32, True))  # seed 151
+@example(OpKind.SHL, (0x8000, CType(16, True), True),
+         (4, CType(8, False), False), CType(64, True))
+@example(OpKind.DIV, (7, CType(32, True), False),
+         (0, CType(32, True), False), CType(32, True))  # RPR-X010
+@example(OpKind.MOD, (7, CType(8, False), True),
+         (0, CType(16, True), True), CType(16, False))
+def test_predecoded_binop_matches_semantics(op, a, b, dest_ty):
+    (av, at, _), (bv, bt, _) = a, b
+    ref = _ref_binop(op, av, at, bv, bt)
+    if ref is None:
+        for run in (lambda: semantics.binop(op, av, at, bv, bt, where="h"),
+                    lambda: run_decoded(op, dest_ty, [a, b])):
+            with pytest.raises(SimulationError,
+                               match="h: division by zero") as exc:
+                run()
+            assert exc.value.code == "RPR-X010"
+        return
+    r = semantics.binop(op, av, at, bv, bt)
+    assert r == ref
+    assert run_decoded(op, dest_ty, [a, b]) == truncate(r, dest_ty.width)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(COMPARES), operand(), operand(), ctypes)
+def test_predecoded_compare_matches_semantics(op, a, b, dest_ty):
+    (av, at, _), (bv, bt, _) = a, b
+    r = semantics.compare(op, av, at, bv, bt)
+    assert r == _ref_compare(op, av, at, bv, bt)
+    assert type(r) is int
+    assert run_decoded(op, dest_ty, [a, b]) == truncate(r, dest_ty.width)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(UNOPS + CASTS), operand(), ctypes)
+def test_predecoded_unop_and_cast_match_semantics(op, a, dest_ty):
+    av, at, _ = a
+    if op in UNOPS:
+        r = semantics.unop(op, av, at)
+        assert r == _ref_unop(op, av, at)
+    else:
+        r = semantics.cast(op, av, at)
+        assert r == _ref_cast(op, av, at)
+    assert run_decoded(op, dest_ty, [a]) == truncate(r, dest_ty.width)

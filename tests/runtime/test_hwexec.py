@@ -1,5 +1,7 @@
 """Unit tests for hardware execution (board, collectors, notifier)."""
 
+import pytest
+
 from repro.core.synth import SynthesisOptions, synthesize
 from repro.runtime.hwexec import execute
 from repro.runtime.swsim import software_sim
@@ -220,3 +222,158 @@ def test_traced_execute_batch_counts_each_lane_once():
     assert t.counters["runtime.execute_batch.lane_cycles"] == \
         sum(r.cycles for r in lanes) > 0
     assert "runtime.execute.sim_cycles" not in t.counters
+
+
+# ---- pinned HwResult bytes ---------------------------------------------------
+
+_PIN_NOCLOSE = """
+void p(co_stream input, co_stream output) {
+  uint32 x;
+  co_stream_read(input, &x);
+}
+"""
+
+_PIN_PASS = """
+void q(co_stream input, co_stream output) {
+  uint32 x;
+  while (co_stream_read(input, &x)) {
+    co_stream_write(output, x);
+  }
+  co_stream_close(output);
+}
+"""
+
+_PIN_SPIN = """
+void p(co_stream input, co_stream output) {
+  uint32 x;
+  uint32 flag;
+  flag = 0;
+  co_stream_read(input, &x);
+  while (flag == 0) {
+    x = x + 1;
+  }
+  co_stream_write(output, x);
+  co_stream_close(output);
+}
+"""
+
+
+def _pin_two_stage(first_src):
+    app = Application("pin")
+    app.add_c_process(first_src, name="p")
+    app.add_c_process(_PIN_PASS, name="q")
+    app.feed("in", "p.input", data=[7])
+    app.connect("mid", "p.output", "q.input")
+    app.sink("out", "q.output")
+    return app
+
+
+def _pin_case(case):
+    """(image, execute kwargs) of one pinned run."""
+    from repro.apps.edge_detect import build_edge_app
+    from repro.apps.loopback import build_loopback
+    from repro.faults.runtime import (
+        DropWord,
+        DuplicateWord,
+        RegisterUpset,
+        StreamStall,
+    )
+    from repro.runtime.watchdog import WatchdogConfig
+
+    app_name, level, ending = case.split("/")
+    kwargs = {}
+    nabort = False
+    if app_name == "loopback3":
+        app = build_loopback(3, data=[0, 4, 9, 0] if ending in ("abort", "nabort")
+                             else None)
+        nabort = ending == "nabort"
+    elif app_name == "edge16x8":
+        app = build_edge_app(16, 8, header=(8, 8) if ending == "abort"
+                             else None)
+    elif app_name == "deadlock":
+        app = _pin_two_stage(_PIN_NOCLOSE)
+    elif app_name == "livelock":
+        app = _pin_two_stage(_PIN_SPIN)
+        kwargs["watchdog"] = WatchdogConfig(
+            max_cycles=50_000, livelock_window=1_000,
+            quarantine=ending == "quarantine")
+        nabort = ending == "quarantine"
+    elif app_name == "twolinks":
+        # two feeders and two sinks contend for the one board link
+        app = Application("pin")
+        for name in ("q", "r"):
+            # each input word leaves as three, so the sinks back-pressure
+            app.add_c_process(_PIN_PASS.replace("void q(", f"void {name}(")
+                              .replace("co_stream_write(output, x);",
+                                       "co_stream_write(output, x);" * 3),
+                              name=name)
+            app.feed(f"{name}_in", f"{name}.input",
+                     data=list(range(1, 41)) if name == "q" else [7] * 25)
+            app.sink(f"{name}_out", f"{name}.output")
+    else:  # timeout: the cycle budget runs out mid-progress
+        app = Application("pin")
+        app.add_c_process(_PIN_PASS, name="q")
+        app.feed("in", "q.input", data=list(range(1, 200)))
+        app.sink("out", "q.output")
+        kwargs["max_cycles"] = 40
+    kwargs["faults"] = {
+        "upset": (RegisterUpset(target="stage1", cycle=20, reg_index=1,
+                                bit=2),),
+        "stall": (StreamStall(target="pixels_in", start_cycle=5,
+                              duration=30),),
+        "drop": (DropWord(target="link0", word_index=3),),
+        "dup": (DuplicateWord(target="pixels_in", word_index=17),),
+    }.get(ending, ())
+    return synthesize(app, assertions=level, nabort=nabort), kwargs
+
+
+#: sha256 of every HwResult field (traces and watchdog report included),
+#: recorded before the co-simulation loop's per-cycle bookkeeping was
+#: hoisted out of the cycle loop
+_PINNED_HWRESULTS = {
+    "deadlock/none/deadlock":
+        "dcd4287015a5589da81a6234ac02601b766d0fea021b1a8e89d0cfc3159d5667",
+    "edge16x8/none/completed":
+        "5919ba2698ecb0fab8bfaedc28c75e0f05f71e34cdb647a8ff24c88f836507ca",
+    "edge16x8/none/dup":
+        "33d651e1c73557eac90c11e7a235f22077ef7c739e8daf62ac14fdb13429ff49",
+    "edge16x8/optimized/abort":
+        "683c89cbac82babb13469658461124ac4ab8310a6f1febc45f0a2216329ed372",
+    "edge16x8/optimized/completed":
+        "e0a14096e394e55b23897d062da644ef828f8028959d9e103d6d1dc68e9c5564",
+    "edge16x8/optimized/stall":
+        "72633092304a0e5768f4a6cdaf3033f22f840b34a6b95732fda9b4f0b87cffed",
+    "livelock/none/livelock":
+        "09becc97a40f6594058ab0a09aef65ebce3cbdd49adba4d5680d95c609c4b23e",
+    "livelock/unoptimized/quarantine":
+        "c6d6696bac1b9e70f48f32a4efc7d88253e453f881995724a445d39d577a5b17",
+    "loopback3/none/completed":
+        "1ba1f4d291b6edb2117527e6acbaee2d4d3b11760e4e329906af103287aae2c4",
+    "loopback3/none/drop":
+        "77434b5f811fd55dff462e7a8bf05ff1542031aad08089b2b9098ed47626c9f7",
+    "loopback3/optimized/abort":
+        "bcb126f5535f5aea8ab95319d775fb87d4e166b003a74d1ab91c6211cb4db9a0",
+    "loopback3/optimized/completed":
+        "181a72e00167c5f49a131a497a80e6bc1a10661702c40d9f4d9bee3511f6758a",
+    "loopback3/optimized/nabort":
+        "d7f2a749ac442e67cbbdcfe28bdfa765ca0f47916c31442d0120f3c31a8a6791",
+    "loopback3/optimized/upset":
+        "b569b8898334c727d2cf003b6f4941faa686db3b18e3bc50ffa2885c77b8b389",
+    "timeout/none/timeout":
+        "1e063d0939ecb4415ea94e946786136fae87e6bcfbf37ba8b4a1922fe2800142",
+    "twolinks/none/completed":
+        "51368e5b3bd0ba7aad3e768c5fc5d2271e41cdad691e6cc58721c8700fe7911b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_HWRESULTS))
+def test_hwresult_bytes_are_pinned(case):
+    import dataclasses
+    import hashlib
+    import json
+
+    image, kwargs = _pin_case(case)
+    res = execute(image, **kwargs)
+    blob = json.dumps(dataclasses.asdict(res), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        _PINNED_HWRESULTS[case], (case, res.reason, res.cycles)
