@@ -78,6 +78,18 @@ class RuntimeFault:
     def on_cycle(self, now: int, execs: dict) -> None:
         """Act on process state at cycle ``now``."""
 
+    def next_edge(self, now: int) -> int | None:
+        """The first cycle after ``now`` at which the fault may change
+        behaviour with no word moving, or None if there is none. The
+        co-simulation loop skips no cycle at or past it. A subclass that
+        overrides ``on_cycle`` or ``blocks_push`` but not this answers
+        ``now``, so no cycle is skipped."""
+        cls = type(self)
+        if (cls.on_cycle is RuntimeFault.on_cycle
+                and cls.blocks_push is RuntimeFault.blocks_push):
+            return None
+        return now
+
     def describe(self) -> str:
         return repr(self)
 
@@ -204,6 +216,12 @@ class StreamStall(RuntimeFault):
             )
         return stalled
 
+    def next_edge(self, now: int) -> int | None:
+        end = self.start_cycle + self.duration
+        if now < self.start_cycle:
+            return self.start_cycle
+        return end if now < end else None
+
 
 @dataclass
 class RegisterUpset(RuntimeFault):
@@ -238,6 +256,9 @@ class RegisterUpset(RuntimeFault):
             return
         reg, bit = pe.upset_register(self.reg_index, self.bit)
         self.events.append(f"cycle {now}: {self.target}.{reg} bit {bit} flipped")
+
+    def next_edge(self, now: int) -> int | None:
+        return None if self.fired else self.cycle
 
 
 class RuntimeFaultInjector:
@@ -292,6 +313,12 @@ class RuntimeFaultInjector:
         self.cycle += 1
         for fault in self._cycle_faults:
             fault.on_cycle(self.cycle, self._execs)
+
+    def next_edge(self) -> int | None:
+        """The earliest :meth:`RuntimeFault.next_edge` of any fault."""
+        edges = [e for f in self.faults
+                 if (e := f.next_edge(self.cycle)) is not None]
+        return min(edges, default=None)
 
     def event_log(self) -> list[str]:
         out: list[str] = []

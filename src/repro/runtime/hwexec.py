@@ -20,6 +20,23 @@ injected into the channel fabric and process registers, and under
 ``NABORT`` the watchdog can quarantine stuck processes so the rest of the
 application — including in-flight assertion notifications — drains to
 completion.
+
+Quiet cycles are paid for once. Most Triple-DES cycles move nothing
+outside one process: it computes a DES round while the board, the
+collectors and every other process (the parked checker pipelines) wait.
+After a cycle in which the board and collectors did nothing, no feeder
+is left open, the image has no latency monitor, exactly one process was
+active and it is a compiled one (``CompiledProcessExec.run_quiet``),
+no stream word moved, and no channel was pushed, popped or closed since
+the previous cycle, the next cycles can only repeat it: every stalled
+process stalls again without changing state. So the active process
+chains its channel-free steps in one loop, and the cycle, fault-clock,
+watchdog and stall counters of the rest of the system are advanced by
+the stretch's length in bulk. A stretch stops before the cycle budget,
+before the livelock window fires, and before any fault's next time edge
+(:meth:`RuntimeFault.next_edge`), so ``HwResult`` is byte-identical to
+ticking every cycle. The interpreter backend always ticks every cycle
+and is the oracle for this.
 """
 
 from __future__ import annotations
@@ -335,7 +352,7 @@ def _execute(image: HardwareImage, cfg: WatchdogConfig, backend: str,
     sink_order = sorted(cpu_outputs)
     feeds = [(channels[name], deque(feeders[name])) for name in fed_order]
     sinks = [(name, channels[name]) for name in sink_order]
-    ticks = [pe.tick for pe in execs.values()]
+    procs = [(pe, pe.tick) for pe in execs.values()]
     collector_ticks = [c.tick for c in collectors]
     # non-daemon executors not yet known to be done, last one checked
     # first; ``done`` never resets, so a finished executor is dropped once
@@ -401,17 +418,21 @@ def _execute(image: HardwareImage, cfg: WatchdogConfig, backend: str,
     observe = wd.observe
     inject = injector.tick
     quarantine_rounds = 0
+    # every channel, and its push/pop/close count at the end of the last
+    # quiet cycle
+    all_chs = (*channels.values(), *taps.values())
+    quiet_at = -1
+    quiet_sig = -1
 
-    for _cycle in range(cfg.max_cycles):
+    while result.cycles < cfg.max_cycles:
         result.cycles += 1
         inject()
-        active = board_tick()
+        fabric = board_tick()
         for tick in collector_ticks:
             if tick():
-                active = True
-        for tick in ticks:
-            if tick() == "active":
-                active = True
+                fabric = True
+        acting = [pe for pe, tick in procs if tick() == "active"]
+        active = fabric or bool(acting)
         for monitor in monitors:
             if monitor.tick(result.cycles):
                 active = True
@@ -470,6 +491,29 @@ def _execute(image: HardwareImage, cfg: WatchdogConfig, backend: str,
             result.traces = [pe.trace() for pe in execs.values()]
             result.watchdog = wd.report(verdict)
             break
+        if (len(acting) == 1 and not fabric and not unclosed
+                and not monitors and wd.stagnant
+                and hasattr(acting[0], "run_quiet")):
+            # a quiet cycle repeats until something outside the lone
+            # process can change (module docstring); the channel count
+            # tells whether anything moved since the previous cycle
+            sig = sum([ch.pushes + ch.pops + ch.closed for ch in all_chs])
+            if quiet_at == result.cycles - 1 and sig == quiet_sig:
+                lone = acting[0]
+                budget = min(cfg.max_cycles - result.cycles,
+                             cfg.livelock_window - wd.stagnant) - 1
+                edge = injector.next_edge()
+                if edge is not None:
+                    budget = min(budget, edge - injector.cycle - 1)
+                n = lone.run_quiet(budget)
+                result.cycles += n
+                injector.cycle += n
+                wd.skip(n)
+                for pe in execs.values():
+                    if pe is not lone and not pe.done:
+                        pe.cycles += n
+                        pe.stall_cycles += n
+            quiet_at, quiet_sig = result.cycles, sig
     else:
         result.reason = TIMEOUT
         result.traces = [pe.trace() for pe in execs.values()]

@@ -138,6 +138,13 @@ class Watchdog:
                 return LIVELOCK
         return None
 
+    def skip(self, n: int) -> None:
+        """Account ``n`` active cycles in which no stream word moved, as
+        ``n`` calls of ``observe(True)`` that all return None would."""
+        self.cycle += n
+        self.idle = 0
+        self.stagnant += n
+
     # ---- triage -----------------------------------------------------------
 
     def victims(self, verdict: str) -> list[str]:

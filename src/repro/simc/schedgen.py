@@ -41,6 +41,10 @@ from .rtlgen import _Emitter, _sext_src
 __all__ = ["CompiledProcessExec", "generate_sched_source",
            "sched_exec_source"]
 
+#: ops that touch a channel: a step holding one is never run quietly
+_LOUD = frozenset((OpKind.STREAM_READ, OpKind.STREAM_WRITE,
+                   OpKind.STREAM_CLOSE, OpKind.TAP, OpKind.TAP_READ))
+
 
 def _identity(v):
     return v
@@ -855,6 +859,21 @@ class CompiledProcessExec(ProcessExec):
             raise SimCompileError(
                 f"{self.name}: cannot bind channel {exc} during "
                 "specialization", code="RPR-K021") from exc
+        # ``_seq_fns`` with None for every step that touches a channel or
+        # returns: what :meth:`run_quiet` may chain without the system loop
+        self._quiet_fns = {
+            name: tuple(None if self._loud(name, step) else fn
+                        for step, fn in enumerate(fns))
+            for name, fns in self._seq_fns.items()
+        }
+
+    def _loud(self, name: str, step: int) -> bool:
+        bs = self.fsched.blocks[name]
+        block = self.func.blocks[name]
+        if step + 1 >= bs.length and isinstance(block.term, Return):
+            return True
+        indices = bs.steps[step] if step < len(bs.steps) else ()
+        return any(block.instrs[i].op in _LOUD for i in indices)
 
     # Subclassing ProcessExec is what makes the hybrid work: a block the
     # codegen skipped ticks through the inherited interpreter on the same
@@ -889,3 +908,23 @@ class CompiledProcessExec(ProcessExec):
         if status == "stalled":
             self.stall_cycles += 1
         return status
+
+    def run_quiet(self, limit: int) -> int:
+        """Tick through up to ``limit`` consecutive channel-free steps, one
+        cycle each, and return how many ran. Each such tick returns
+        'active' and touches nothing outside this process, so the caller
+        can account the rest of the system for those cycles in bulk. A
+        pipelined or interpreted block has no entry and ends the run."""
+        quiet = self._quiet_fns
+        n = 0
+        while n < limit:
+            fns = quiet.get(self.block)
+            if fns is None:
+                break
+            fn = fns[self.step]
+            if fn is None:
+                break
+            fn()
+            n += 1
+        self.cycles += n
+        return n

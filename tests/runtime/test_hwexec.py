@@ -1,6 +1,7 @@
 """Unit tests for hardware execution (board, collectors, notifier)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.synth import SynthesisOptions, synthesize
 from repro.runtime.hwexec import execute
@@ -258,10 +259,64 @@ void p(co_stream input, co_stream output) {
 """
 
 
-def _pin_two_stage(first_src):
+#: computes alone for a while after its first word, then passes the rest
+_PIN_GRIND = """
+void c(co_stream input, co_stream output) {
+  uint32 x;
+  uint32 acc;
+  uint32 i;
+  acc = 0;
+  co_stream_read(input, &x);
+  i = 0;
+  while (i < 300) {
+    acc = acc + x;
+    i = i + 1;
+  }
+  co_stream_write(output, acc);
+  while (co_stream_read(input, &x)) {
+    co_stream_write(output, x + acc);
+  }
+  co_stream_close(output);
+}
+"""
+
+#: wakes its neighbours (a close, an assertion tap) with no stream word
+#: moving, then computes alone
+_PIN_WAKE = """
+void p(co_stream input, co_stream output) {
+  uint32 x;
+  uint32 i;
+  co_stream_read(input, &x);
+  for (i = 0; i < 50; i++) {
+    x = x + 1;
+  }
+  co_stream_close(output);
+  for (i = 0; i < 50; i++) {
+    x = x + 1;
+  }
+  assert(x < 20);
+  for (i = 0; i < 400; i++) {
+    x = x + i;
+  }
+}
+"""
+
+
+def _pin_two_stage(first_src, second_src=_PIN_PASS, data=(7,)):
     app = Application("pin")
     app.add_c_process(first_src, name="p")
+    app.add_c_process(second_src, name="q")
+    app.feed("in", "p.input", data=list(data))
+    app.connect("mid", "p.output", "q.input")
+    app.sink("out", "q.output")
+    return app
+
+
+def _pin_wake():
+    # q ticks before p, so p's close reaches it a cycle later
+    app = Application("pin")
     app.add_c_process(_PIN_PASS, name="q")
+    app.add_c_process(_PIN_WAKE, name="p")
     app.feed("in", "p.input", data=[7])
     app.connect("mid", "p.output", "q.input")
     app.sink("out", "q.output")
@@ -272,6 +327,7 @@ def _pin_case(case):
     """(image, execute kwargs) of one pinned run."""
     from repro.apps.edge_detect import build_edge_app
     from repro.apps.loopback import build_loopback
+    from repro.apps.tripledes import build_tdes_app
     from repro.faults.runtime import (
         DropWord,
         DuplicateWord,
@@ -293,11 +349,29 @@ def _pin_case(case):
     elif app_name == "deadlock":
         app = _pin_two_stage(_PIN_NOCLOSE)
     elif app_name == "livelock":
-        app = _pin_two_stage(_PIN_SPIN)
+        # at optimized the checker parks under the whole firing window
+        app = _pin_two_stage(_PIN_SPIN.replace(
+            "co_stream_read(input, &x);",
+            "co_stream_read(input, &x);\n  assert(x < 100);")
+            if level == "optimized" else _PIN_SPIN)
         kwargs["watchdog"] = WatchdogConfig(
             max_cycles=50_000, livelock_window=1_000,
             quarantine=ending == "quarantine")
         nabort = ending == "quarantine"
+    elif app_name == "tdes":
+        app = build_tdes_app(text=b"Sixteen bytes!!!")
+        if ending == "timeout":  # the budget runs out inside a DES round
+            kwargs["max_cycles"] = 5_000
+        elif ending == "livelock":  # fires while the checkers are parked
+            kwargs["watchdog"] = WatchdogConfig(livelock_window=5_000)
+    elif app_name == "wake":
+        app = _pin_wake()
+    elif app_name == "grind":
+        # q computes alone while p sits parked writing into ``mid``: with
+        # 24 words ``mid`` is full, with 4 only the stall window parks p
+        app = _pin_two_stage(_PIN_PASS.replace("void q(", "void p("),
+                             _PIN_GRIND,
+                             data=range(1, 25 if ending == "full" else 5))
     elif app_name == "twolinks":
         # two feeders and two sinks contend for the one board link
         app = Application("pin")
@@ -323,13 +397,21 @@ def _pin_case(case):
                               duration=30),),
         "drop": (DropWord(target="link0", word_index=3),),
         "dup": (DuplicateWord(target="pixels_in", word_index=17),),
+        "upset_main": (RegisterUpset(target="tdes_decrypt", cycle=10_000,
+                                     reg_index=43, bit=5),),
+        "upset_checker": (RegisterUpset(target="tdes_decrypt__chk0",
+                                        cycle=12_000, reg_index=0, bit=0),),
+        "full": (StreamStall(target="mid", start_cycle=300, duration=200),),
+        "window": (StreamStall(target="mid", start_cycle=4, duration=300),),
     }.get(ending, ())
     return synthesize(app, assertions=level, nabort=nabort), kwargs
 
 
 #: sha256 of every HwResult field (traces and watchdog report included),
 #: recorded before the co-simulation loop's per-cycle bookkeeping was
-#: hoisted out of the cycle loop
+#: hoisted out of the cycle loop; the ``tdes``, ``grind``, ``wake`` and
+#: optimized livelock cases pin the edges of the quiet-cycle fast path
+#: and were recorded before it existed
 _PINNED_HWRESULTS = {
     "deadlock/none/deadlock":
         "dcd4287015a5589da81a6234ac02601b766d0fea021b1a8e89d0cfc3159d5667",
@@ -363,6 +445,24 @@ _PINNED_HWRESULTS = {
         "1e063d0939ecb4415ea94e946786136fae87e6bcfbf37ba8b4a1922fe2800142",
     "twolinks/none/completed":
         "51368e5b3bd0ba7aad3e768c5fc5d2271e41cdad691e6cc58721c8700fe7911b",
+    "tdes/optimized/timeout":
+        "506422506905d3e8a2d4055d32bc46ae9d72659cc5419fbb1b04fc6f0a6560b9",
+    "tdes/optimized/upset_main":
+        "83d28ccec786928f4312f8014772895ebc9486e1fefd170a9254d1768433e1f2",
+    "tdes/optimized/upset_checker":
+        "1cf93af0a497f2c5ff09241ca73b77be05fdc172b3d0bf5cbd1258d4bf534ab5",
+    "tdes/optimized/livelock":
+        "60f6479ccadcc8e6f694b231663a9efd1530bc97aab685d4d74a23dee5f471c5",
+    "livelock/optimized/livelock":
+        "bc29f4c578d7f61d9cd3f014f6e9030b939250d8f1ddf9016179d803f18d911f",
+    "wake/none/completed":
+        "431ef6dd44b0798ae512cd49a622c0f99ee7b412beb8232170428279b842612d",
+    "wake/optimized/abort":
+        "0806831b7ba238f38fd461cd7df7cc911380aa878a8966c95aeaaad11f8ff518",
+    "grind/none/full":
+        "71ac7064a396c8c51238fcbf4b1471b8e916520ff3a563d456acb2f29c8790fe",
+    "grind/none/window":
+        "2ca8537b7d315ca97f9a37583d381d2746208f3abf159466ffbd5b12d187505a",
 }
 
 
@@ -377,3 +477,165 @@ def test_hwresult_bytes_are_pinned(case):
     blob = json.dumps(dataclasses.asdict(res), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == \
         _PINNED_HWRESULTS[case], (case, res.reason, res.cycles)
+
+
+# ---- the quiet-cycle fast path -----------------------------------------------
+#
+# ``_execute`` runs a lone computing process's channel-free steps in one
+# loop (``CompiledProcessExec.run_quiet``) and catches the rest of the
+# system up in bulk. The interpreter backend never takes that path, so it
+# is the oracle: both backends must give the same HwResult.
+
+_ORACLE_TEXT = b"quiet"  # one DES block
+
+
+def _oracle_app(name):
+    from repro.apps.edge_detect import build_edge_app
+    from repro.apps.loopback import build_loopback
+    from repro.apps.tripledes import build_tdes_app
+
+    if name == "loopback":
+        return build_loopback(3, data=list(range(1, 9)))
+    if name == "edge":
+        return build_edge_app(16, 8)
+    if name == "tdes":
+        return build_tdes_app(text=_ORACLE_TEXT)
+    if name == "wake":
+        return _pin_wake()
+    return _pin_two_stage(_PIN_SPIN)
+
+
+_ORACLE_IMAGES: dict = {}
+
+
+def _oracle_image(name, level, nabort):
+    key = (name, level, nabort)
+    if key not in _ORACLE_IMAGES:
+        _ORACLE_IMAGES[key] = synthesize(_oracle_app(name), assertions=level,
+                                         nabort=nabort)
+    return _ORACLE_IMAGES[key]
+
+
+def _spread(*tops):
+    """Integers over several magnitudes, drawn mostly from the first; a
+    plain range crowds its low end."""
+    return st.sampled_from(tops).flatmap(
+        lambda top: st.integers(max(1, top // 4), top))
+
+
+@st.composite
+def _oracle_runs(draw):
+    from repro.faults.runtime import (
+        ChannelBitFlip,
+        DropWord,
+        DuplicateWord,
+        RegisterUpset,
+        StreamStall,
+        StuckAtBit,
+    )
+    from repro.runtime.watchdog import WatchdogConfig
+
+    name = draw(st.sampled_from(("tdes", "spin", "wake", "loopback", "edge")))
+    level = draw(st.sampled_from(("none", "unoptimized", "optimized")))
+    nabort = draw(st.booleans())
+    image = _oracle_image(name, level, nabort)
+    streams = sorted(sd.name for sd in image.app.streams.values()
+                     if sd.role is None)
+    procs = sorted(pd.name for pd in image.app.fpga_processes())
+    max_cycles = draw(_spread(30_000, 2_000, 200))
+    cycle = _spread(20_000, 5_000, 400, 16)
+    word = st.integers(0, 8)
+    bit = st.integers(0, 63)
+    stream = st.sampled_from(streams)
+    kinds = {
+        "bitflip": st.builds(ChannelBitFlip, target=stream, word_index=word,
+                             bit=bit),
+        "stuckat": st.builds(StuckAtBit, target=stream, bit=bit,
+                             stuck_value=st.integers(0, 1), from_word=word),
+        "drop": st.builds(DropWord, target=stream, word_index=word),
+        "duplicate": st.builds(DuplicateWord, target=stream,
+                               word_index=word),
+        "stall": st.builds(StreamStall, target=stream, start_cycle=cycle,
+                           duration=cycle),
+        "upset": st.builds(RegisterUpset, target=st.sampled_from(procs),
+                           cycle=cycle, reg_index=st.integers(0, 127),
+                           bit=bit),
+    }
+    faults = draw(st.lists(st.sampled_from(sorted(kinds)).flatmap(
+        kinds.__getitem__), min_size=1, max_size=2))
+    watchdog = WatchdogConfig(
+        max_cycles=max_cycles,
+        idle_limit=draw(st.integers(4, 64)),
+        livelock_window=draw(_spread(30_000, 8_000, 1_000, 50)),
+        quarantine=draw(st.booleans()),
+    )
+    return image, watchdog, faults
+
+
+def _comparable(res):
+    import dataclasses
+
+    fields = dataclasses.asdict(res)
+    for stats in fields["process_stats"].values():
+        del stats["backend"]
+    return fields
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_oracle_runs())
+def test_compiled_fast_path_equals_interpreter(run):
+    image, watchdog, faults = run
+    compiled = execute(image, watchdog=watchdog, faults=faults,
+                       sim_backend="compiled")
+    interp = execute(image, watchdog=watchdog, faults=faults,
+                     sim_backend="interp")
+    assert _comparable(compiled) == _comparable(interp)
+
+
+def _golden_tdes_image():
+    from repro.apps.tripledes import build_tdes_app
+
+    return synthesize(build_tdes_app(text=b"Sixteen bytes!!!"),
+                      assertions="optimized")
+
+
+def test_clocked_fault_subclass_sees_every_cycle():
+    """An unknown fault with an ``on_cycle`` hook forbids every stretch."""
+    from repro.faults.runtime import RuntimeFault
+
+    class Clock(RuntimeFault):
+        def reset(self):
+            super().reset()
+            self.seen = []
+
+        def on_cycle(self, now, execs):
+            self.seen.append(now)
+
+    image = _golden_tdes_image()
+    clock = Clock()
+    res = execute(image, faults=(clock,), sim_backend="compiled")
+    assert res.completed
+    assert clock.seen == list(range(1, res.cycles + 1))
+    assert _comparable(res) == _comparable(execute(image))
+
+
+def test_fast_path_engages_on_golden_tdes(monkeypatch):
+    """Quiet cycles must not come back to the per-cycle loop: on the golden
+    Triple-DES run the compiled processes tick on under 1% of cycles."""
+    from repro.simc.schedgen import CompiledProcessExec
+
+    image = _golden_tdes_image()
+    ticks = 0
+    tick = CompiledProcessExec.tick
+
+    def counted(self):
+        nonlocal ticks
+        ticks += 1
+        return tick(self)
+
+    monkeypatch.setattr(CompiledProcessExec, "tick", counted)
+    res = execute(image, sim_backend="compiled")
+    assert res.completed
+    slots = len(image.app.fpga_processes()) * res.cycles
+    assert 0 < ticks < 0.01 * slots, (ticks, res.cycles)
