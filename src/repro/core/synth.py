@@ -54,7 +54,6 @@ from repro.hls.compiler import CompiledProcess, compile_process
 from repro.hls.constraints import HLSConfig
 from repro.ir.instr import AssertionSite
 from repro.ir.transform import eliminate_dead_code
-from repro.ir.verify import verify_function
 from repro.runtime.hwexec import FailStreamDecode, HardwareImage
 from repro.runtime.taskgraph import Application, ProcessDef
 
@@ -63,20 +62,34 @@ LEVELS = ("none", "unoptimized", "optimized")
 
 @dataclass(frozen=True)
 class SynthesisOptions:
-    """Fine-grained switches for ablation experiments."""
+    """Fine-grained switches for ablation experiments.
 
-    parallelize: bool = True
-    replicate: bool = True
-    share: bool = True
-    share_word_width: int = 32
+    Every field declares the scope its value matters at, in its
+    ``metadata["scope"]``:
+
+    * ``"process"`` — changes what :func:`synth_process` produces for ONE
+      process, so it keys per-process artifacts;
+    * ``"app"`` — app assembly only (collector grouping, merging checkers
+      across processes);
+    * ``"exec"`` — execution only (the simulation backend).
+
+    Only process-scope fields enter
+    :func:`repro.lab.cache.process_cache_key`, so per-process artifacts
+    are reused across the app and exec variants.
+    """
+
+    parallelize: bool = field(default=True, metadata={"scope": "process"})
+    replicate: bool = field(default=True, metadata={"scope": "process"})
+    share: bool = field(default=True, metadata={"scope": "process"})
+    share_word_width: int = field(default=32, metadata={"scope": "app"})
     #: Section 3.3 future-work extension: merge all (division-free) checkers
     #: into one round-robin pipelined checker fed by per-assertion FIFOs.
-    multichecker: bool = False
-    multichecker_group: int = 32
+    multichecker: bool = field(default=False, metadata={"scope": "app"})
+    multichecker_group: int = field(default=32, metadata={"scope": "app"})
     #: simulation backend for execution (:mod:`repro.simc`): "compiled"
     #: specializes each schedule to Python bytecode (interp fallback on
     #: unsupported constructs), "interp" forces the tree-walking model
-    sim_backend: str = "compiled"
+    sim_backend: str = field(default="compiled", metadata={"scope": "exec"})
 
     def key_parts(self) -> tuple:
         """Stable (name, value) tuple of *every* field, for cache keying.
@@ -87,17 +100,12 @@ class SynthesisOptions:
         """
         return tuple(sorted(dataclasses.asdict(self).items()))
 
-    #: fields that change what :func:`synth_process` produces for ONE
-    #: process. Everything else is app-assembly-level (``share_word_width``
-    #: groups collectors, ``multichecker*`` merges checkers across
-    #: processes) or execution-level (``sim_backend``) and deliberately
-    #: excluded so per-process artifacts are reused across those variants.
-    PROCESS_KEY_FIELDS = ("parallelize", "replicate", "share")
-
     def process_key_parts(self) -> tuple:
-        """The :meth:`key_parts` subset that affects a single process."""
+        """The :meth:`key_parts` subset that affects a single process:
+        the process-scope fields, in declaration order."""
         return tuple(
-            (name, getattr(self, name)) for name in self.PROCESS_KEY_FIELDS
+            (f.name, getattr(self, f.name)) for f in dataclasses.fields(self)
+            if f.metadata["scope"] == "process"
         )
 
 
@@ -175,6 +183,7 @@ def synth_process(
     """
     options = options or SynthesisOptions()
     level = effective_level(assertions, options)
+    # the passes below rewrite IR, and lowered IR is shared read-only
     func = pd.func.clone()
 
     codes: list[tuple[int, AssertionSite]] = []
@@ -216,7 +225,6 @@ def synth_process(
             replicate_arrays(func)
         plans = list(res.checkers)
     eliminate_dead_code(func)
-    verify_function(func)
 
     cfg = config or pd.config or HLSConfig()
     if fault_spec:
@@ -276,10 +284,9 @@ def assemble_image(
         if art is None:
             raise AssertionSynthesisError(
                 f"no artifact for process {pd.name!r}", code="RPR-A005")
-        # splice in a private copy: artifacts may be shared (cache handle,
-        # repeated assemblies), and downstream holds mutable references
-        func = art.func.clone()
-        pd.func = func
+        # no copy: synth_process owns art.func and nothing downstream
+        # rewrites it
+        pd.func = art.func
         for region in art.latency_regions:
             hw_app.add_tap(region.start_channel, pd.name, "__latmon", (1,))
             hw_app.add_tap(region.end_channel, pd.name, "__latmon", (1,))
@@ -369,7 +376,10 @@ def assemble_image(
         if faults and pd.name in faults:
             config = HLSConfig(schedule=config.schedule,
                                faults=tuple(faults[pd.name]))
-        compiled[pd.name] = compile_process(pd.func, config)
+        # scheduling adds predicate temps to the function it compiles: an
+        # artifact's checker stays as the artifact built it
+        func = pd.func.clone() if pre is not None else pd.func
+        compiled[pd.name] = compile_process(func, config)
 
     image = HardwareImage(
         app=hw_app,

@@ -36,6 +36,7 @@ from repro.errors import FaultError
 from repro.ir.function import IRFunction
 from repro.ir.instr import Instr
 from repro.ir.ops import COMPARISONS, OpKind
+from repro.ir.verify import verify_function
 
 __all__ = [
     "Fault",
@@ -119,10 +120,12 @@ class ReadForWrite:
 
 
 def apply_faults(func: IRFunction, faults) -> IRFunction:
-    """Clone ``func`` and apply each fault; raises if a fault matched nothing."""
+    """Clone ``func``, apply each fault and verify the faulted copy; raises
+    if a fault matched nothing."""
     hw = func.clone()
     for fault in faults:
         hits = fault.apply(hw)
         if hits == 0:
             raise FaultError(f"{fault!r} matched nothing in {func.name!r}", code="RPR-F001")
+    verify_function(hw)
     return hw

@@ -25,7 +25,6 @@ fields). How that pseudo-op becomes hardware is the subject of
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -46,11 +45,12 @@ from repro.ir.values import Const, StreamParam, Temp, Value
 from repro.utils.bitops import truncate
 
 _CGEN = c_generator.CGenerator()
-#: distinct strict-mode units :func:`lower_source` keeps, pickled (a
-#: Figs 4/5 sweep lowers about 140, 2-25 KB each)
+#: distinct strict-mode units :func:`lower_source` keeps (a Figs 4/5
+#: sweep lowers about 140)
 _MEMO_UNITS = 512
-#: (source, filename, sorted defines) -> pickled module, in LRU order
-_MEMO: OrderedDict[tuple, bytes] = OrderedDict()
+#: (source, filename, sorted defines) -> module of shared, read-only
+#: functions, in LRU order
+_MEMO: OrderedDict[tuple, IRModule] = OrderedDict()
 _MEMO_LOCK = threading.Lock()
 
 _BINOPS: dict[str, OpKind] = {
@@ -719,39 +719,49 @@ def lower_source(
     ``sink.has_errors``.
 
     Without a ``sink`` (strict mode) the caller sees only the module or a
-    raise, so each distinct unit is lowered once per process and every
-    call returns a fresh copy; errors are not memoized. A collect-mode
-    call always lowers in full (its diagnostics are never replayed), and
-    when it ends without errors its module is the strict-mode one, so it
-    seeds that memo entry: checking a source and then synthesizing it
-    parses it once.
+    raise, so each distinct unit is lowered once per process; errors are
+    not memoized. A collect-mode call always lowers in full (its
+    diagnostics are never replayed), and when it ends without errors its
+    module is the strict-mode one, so it seeds that memo entry: checking a
+    source and then synthesizing it parses it once.
+
+    Every call returns a fresh :class:`IRModule` container, but a clean
+    lowering's functions are shared: each later call for the same unit
+    returns the same :class:`IRFunction` objects. Lowered IR is therefore
+    read-only; a caller that rewrites it must ``clone()`` it first.
     """
     key = (source, filename, tuple(sorted(defines.items())) if defines else ())
     if sink is not None:
         module = _lower(source, filename, defines, sink)
         if not sink.has_errors:
             _remember(key, module)
-        return module
+        return _fresh(module)
     with _MEMO_LOCK:
-        blob = _MEMO.get(key)
-        if blob is not None:
+        module = _MEMO.get(key)
+        if module is not None:
             _MEMO.move_to_end(key)
-    if blob is None:
-        blob = _remember(key, _lower(source, filename, defines,
-                                     DiagnosticSink(strict=True)))
-    return pickle.loads(blob)
+    if module is None:
+        module = _lower(source, filename, defines, DiagnosticSink(strict=True))
+        _remember(key, module)
+    return _fresh(module)
 
 
-def _remember(key: tuple, module: IRModule) -> bytes:
-    """Memoize ``module`` pickled under ``key``, evicting the least
-    recently used unit beyond :data:`_MEMO_UNITS`; returns the blob."""
-    blob = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
+def _fresh(module: IRModule) -> IRModule:
+    """A new container holding ``module``'s (shared) functions."""
+    return IRModule(functions=dict(module.functions),
+                    source_file=module.source_file)
+
+
+def _remember(key: tuple, module: IRModule) -> None:
+    """Memoize ``module`` under ``key``, marking its functions shared and
+    evicting the least recently used unit beyond :data:`_MEMO_UNITS`."""
+    for func in module.functions.values():
+        func.mark_shared()
     with _MEMO_LOCK:
-        _MEMO[key] = blob
+        _MEMO[key] = module
         _MEMO.move_to_end(key)
         if len(_MEMO) > _MEMO_UNITS:
             _MEMO.popitem(last=False)
-    return blob
 
 
 def clear_memo() -> None:

@@ -73,12 +73,14 @@ def compile_process(
 ) -> CompiledProcess:
     """Compile one process to a scheduled, bound hardware description.
 
-    The input function is cloned before fault injection, so the caller's IR
-    (used for software simulation) is never mutated.
+    ``func`` is verified, then compiled in place: without faults it is the
+    result's ``hw_func``, and pipelining may add predicate temporaries to
+    it, so the caller passes a function it owns (never shared lowered IR).
+    Fault injection compiles a faulted clone and leaves ``func`` as it was.
     """
     config = config or HLSConfig()
-    hw = apply_faults(func, config.faults) if config.faults else func.clone()
-    verify_function(hw)
+    verify_function(func)
+    hw = apply_faults(func, config.faults) if config.faults else func
     sched = schedule_function(hw, config.schedule)
     binding = bind_function(sched)
     return CompiledProcess(hw_func=hw, schedule=sched, binding=binding,

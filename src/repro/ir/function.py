@@ -77,11 +77,20 @@ class IRFunction:
         self.arrays[name] = arr
         return arr
 
+    def mark_shared(self) -> None:
+        """Declare this function shared, read-only IR (the frontend memo's
+        functions are): from now on :meth:`__str__` prints it once and
+        returns that text on every later call. Neither the mark nor the
+        text survives :meth:`clone` or pickling, so a copy is private,
+        mutable and printed afresh."""
+        self._shared_text = None
+
     def clone(self, name: str | None = None) -> "IRFunction":
         """Deep-copy this function (instructions and terminators are fresh
-        objects; assertion sites and types are shared immutables). Used to
-        derive the hardware-side body that fault injection or assertion
-        synthesis may rewrite without touching the software-simulation IR."""
+        objects; assertion sites and types are shared immutables). A pass
+        that rewrites IR -- assertion synthesis, fault injection -- clones
+        first: lowered IR is shared read-only between every application
+        built from the same source."""
         import copy as _copy
 
         other = IRFunction(
@@ -157,7 +166,18 @@ class IRFunction:
         return "\n".join(parts)
 
     def __str__(self) -> str:
-        return self.canonical_text()
+        try:
+            text = self._shared_text
+        except AttributeError:  # not shared: may be rewritten, print anew
+            return self.canonical_text()
+        if text is None:
+            text = self._shared_text = self.canonical_text()
+        return text
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_shared_text", None)
+        return state
 
 
 @dataclass

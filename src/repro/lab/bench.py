@@ -115,12 +115,16 @@ def _bench_synth_app(stages: int, repeats: int) -> list[dict]:
     * **warm** — identical resubmission, every artifact a hit
       (``synth_warm`` speedup = cold / warm);
     * **edit** — one stage's delta constant changed, exactly one
-      process rebuilt (``synth_edit`` speedup = cold / edit).
+      process rebuilt (``synth_edit`` speedup = cold / edit);
+    * **rebuild** — what a warm sweep point pays end to end: rebuild the
+      app from source (lowering memo warm), take its :func:`cache_key`
+      and resubmit it, every artifact a hit (``synth_rebuild`` speedup =
+      cold / rebuild). The frontend's share of a warm point shows here.
 
-    Before any timing is recorded, the warm and edited images are
-    checked against fresh full resyntheses (resource/timing summary and
-    assertion decode table), mirroring the bit-identity discipline of
-    the simulation bench.
+    Before any timing is recorded, the warm, edited and rebuilt images
+    are checked against fresh full resyntheses (resource/timing summary
+    and assertion decode table), mirroring the bit-identity discipline
+    of the simulation bench.
     """
     from repro.apps.pipeline import build_pipeline
     from repro.lab.incremental import synthesize_incremental
@@ -128,6 +132,11 @@ def _bench_synth_app(stages: int, repeats: int) -> list[dict]:
 
     name = f"pipeline{stages}"
     edited = {stages // 2: 5}
+
+    def rebuild(cache: SynthesisCache):
+        app = build_pipeline(stages)
+        cache_key(app, "optimized")
+        return synthesize_incremental(app, cache=cache)
 
     def expect(info: dict, resyntheses: int, leg: str) -> None:
         if info["resyntheses"] != resyntheses:
@@ -148,20 +157,23 @@ def _bench_synth_app(stages: int, repeats: int) -> list[dict]:
         edit_img, info = synthesize_incremental(
             build_pipeline(stages, deltas=edited), cache=cache)
         expect(info, 1, "edit")
+        rebuilt_img, info = rebuild(cache)
+        expect(info, 0, "rebuild")
         for img, app in ((warm_img, build_pipeline(stages)),
-                         (edit_img, build_pipeline(stages, deltas=edited))):
+                         (edit_img, build_pipeline(stages, deltas=edited)),
+                         (rebuilt_img, build_pipeline(stages))):
             full = synthesize(app)
             if _report_signature(img) != _report_signature(full):
                 raise BenchMismatchError(
                     f"{name}: incremental image diverges from full "
                     "resynthesis", code="RPR-M007")
 
-    # the apps are built (C parsed) outside the timed regions: every leg
-    # pays that cost identically, and it is not what incremental
-    # synthesis changes (synth_process clones, never mutates, app IR)
+    # the cold/warm/edit apps are built outside the timed regions: those
+    # legs time synthesis alone (lowered IR is read-only, so one app
+    # serves every leg); the rebuild leg times the app build too
     base_app = build_pipeline(stages)
     edit_app = build_pipeline(stages, deltas=edited)
-    cold_s = warm_s = edit_s = math.inf
+    cold_s = warm_s = edit_s = rebuild_s = math.inf
     for _ in range(repeats):
         with tempfile.TemporaryDirectory() as root:
             cache = SynthesisCache(root)
@@ -174,6 +186,9 @@ def _bench_synth_app(stages: int, repeats: int) -> list[dict]:
             t0 = time.perf_counter()
             synthesize_incremental(edit_app, cache=cache)
             edit_s = min(edit_s, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            rebuild(cache)
+            rebuild_s = min(rebuild_s, time.perf_counter() - t0)
 
     return [
         {
@@ -193,6 +208,14 @@ def _bench_synth_app(stages: int, repeats: int) -> list[dict]:
             "resyntheses": 1,
             "speedup": round(cold_s / edit_s, 3),
         },
+        {
+            "name": name,
+            "kind": "synth_rebuild",
+            "processes": stages,
+            "cold_s": round(cold_s, 6),
+            "rebuild_s": round(rebuild_s, 6),
+            "speedup": round(cold_s / rebuild_s, 3),
+        },
     ]
 
 
@@ -203,9 +226,9 @@ def run_synth_bench(quick: bool = False) -> dict:
     :func:`repro.simc.bench.run_bench` (``schema``/``quick``/``entries``/
     ``geomean_speedup``) so ``compare_bench`` and the committed-baseline
     CI gate apply unchanged; entries are keyed ``(name, kind)`` with
-    kinds ``synth_warm`` and ``synth_edit``. Quick mode trades timing
-    stability (fewer repeats), not workload size, keeping the speedup
-    ratios comparable to a full-mode baseline.
+    kinds ``synth_warm``, ``synth_edit`` and ``synth_rebuild``. Quick
+    mode trades timing stability (fewer repeats), not workload size,
+    keeping the speedup ratios comparable to a full-mode baseline.
     """
     from repro.simc.bench import BENCH_SCHEMA
 
@@ -226,15 +249,16 @@ def run_synth_bench(quick: bool = False) -> dict:
 def render_synth_bench(doc: dict) -> str:
     """Human-readable table for a :func:`run_synth_bench` document."""
     lines = [
-        "INCREMENTAL SYNTHESIS BENCH (cold vs warm/edit)"
+        "INCREMENTAL SYNTHESIS BENCH (cold vs warm/edit/rebuild)"
         + ("  [quick]" if doc.get("quick") else ""),
-        f"{'name':<12} {'kind':<11} {'procs':>5} "
+        f"{'name':<12} {'kind':<13} {'procs':>5} "
         f"{'cold_s':>9} {'leg_s':>9} {'speedup':>8}",
     ]
     for e in doc["entries"]:
-        leg_s = e.get("warm_s", e.get("edit_s", 0.0))
+        leg_s = next(e[k] for k in ("warm_s", "edit_s", "rebuild_s")
+                     if k in e)
         lines.append(
-            f"{e['name']:<12} {e['kind']:<11} {e['processes']:>5} "
+            f"{e['name']:<12} {e['kind']:<13} {e['processes']:>5} "
             f"{e['cold_s']:>9.4f} {leg_s:>9.4f} "
             f"{e['speedup']:>7.2f}x")
     lines.append(f"geomean speedup: {doc['geomean_speedup']:.2f}x")

@@ -116,7 +116,9 @@ def app_key_parts(app) -> list[object]:
     Includes everything synthesis consumes: per-process IR text (which
     changes whenever the C source changes), HLS configs, stream/tap wiring,
     feeder data and the abort mode. Iteration order is sorted so dict
-    insertion order cannot leak into the key.
+    insertion order cannot leak into the key. A function lowered through
+    the frontend memo prints its text once per interpreter (see
+    :meth:`repro.ir.function.IRFunction.mark_shared`).
     """
     parts: list[object] = [app.name, app.nabort]
     for name in sorted(app.processes):

@@ -235,8 +235,10 @@ class Application:
         return sd
 
     def clone(self, name: str | None = None) -> "Application":
-        """Deep-copy the graph. Assertion synthesis transforms a clone, so
-        the original (used for software simulation) stays untouched."""
+        """Copy the graph; process functions are shared, not copied.
+        Assertion synthesis rewires a clone, so the original (used for
+        software simulation) stays untouched, and it swaps in the
+        instrumented functions it cloned itself (lowered IR is read-only)."""
         import copy as _copy
 
         other = Application(name or self.name)
@@ -244,7 +246,7 @@ class Application:
         for pd in self.processes.values():
             other.processes[pd.name] = ProcessDef(
                 name=pd.name,
-                func=pd.func.clone() if pd.func is not None else None,
+                func=pd.func,
                 kind=pd.kind,
                 daemon=pd.daemon,
                 config=pd.config,

@@ -117,7 +117,9 @@ void f(co_stream input, co_stream output) {{
     app.feed("in", "f.input", data=[1])
     app.sink("out", "f.output")
     registry = AssertionRegistry()
-    func = app.processes["f"].func
+    # lowered IR is shared read-only: parallelize a private copy
+    pd = app.processes["f"]
+    func = pd.func = pd.func.clone()
     res = parallelize_function(func, "f",
                                lambda s: registry.register("f", s), share=True)
     eliminate_dead_code(func)

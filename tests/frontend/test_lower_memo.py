@@ -42,17 +42,14 @@ def parses(monkeypatch):
     lowering.clear_memo()
 
 
-def test_hit_returns_a_fresh_module(parses):
+def test_hit_returns_a_fresh_container_of_shared_functions(parses):
     first = lower_source(SRC, filename="p.c")
-    text = first["proc"].canonical_text()
-    first["proc"].blocks.clear()
-    first["proc"].name = "mutated"
+    shared = first["proc"]
     del first.functions["proc"]
 
     second = lower_source(SRC, filename="p.c")
     assert second is not first
-    assert second["proc"].name == "proc"
-    assert second["proc"].canonical_text() == text
+    assert second["proc"] is shared
     assert len(parses) == 1
 
 
@@ -110,18 +107,19 @@ def test_rebuilding_a_loopback_parses_each_stage_once(parses):
     apps = [build_loopback(8) for _ in range(3)]
     assert len(parses) == 8
     assert sorted(parses) == sorted(f"stage{i}.c" for i in range(8))
-    assert apps[0].processes["stage0"].func is not \
+    assert apps[0].processes["stage0"].func is \
         apps[1].processes["stage0"].func
 
 
 def test_a_clean_collect_mode_lowering_seeds_the_strict_memo(parses):
-    lower_source(SRC, filename="p.c", sink=DiagnosticSink(strict=False))
-    seeded = lowering._MEMO[(SRC, "p.c", ())]
-    lower_source(SRC, filename="p.c")
+    collected = lower_source(SRC, filename="p.c",
+                             sink=DiagnosticSink(strict=False))
+    assert lower_source(SRC, filename="p.c")["proc"] is collected["proc"]
     assert len(parses) == 1
     lowering.clear_memo()
-    lower_source(SRC, filename="p.c")
-    assert lowering._MEMO[(SRC, "p.c", ())] == seeded  # the strict blob
+    strict = lower_source(SRC, filename="p.c")
+    assert (strict["proc"].canonical_text()
+            == collected["proc"].canonical_text())
 
 
 def test_a_failed_collect_mode_lowering_seeds_nothing(parses):

@@ -16,7 +16,9 @@ def lower_one(source: str, name: str | None = None,
     if name is None:
         assert len(module.functions) == 1, sorted(module.functions)
         name = next(iter(module.functions))
-    return module[name]
+    # a private copy: unit tests rewrite what they get, and lowered IR is
+    # shared read-only
+    return module[name].clone()
 
 
 def compile_one(source: str, name: str | None = None,

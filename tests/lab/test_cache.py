@@ -79,6 +79,88 @@ def test_every_options_field_invalidates(field):
         cache_key(app, "optimized", changed)
 
 
+def test_every_options_field_declares_a_key_scope():
+    scopes = {f.name: f.metadata.get("scope")
+              for f in dataclasses.fields(SynthesisOptions)}
+    assert set(scopes.values()) <= {"process", "app", "exec"}, scopes
+    assert SynthesisOptions().process_key_parts() == (
+        ("parallelize", True), ("replicate", True), ("share", True))
+
+
+#: (app key, process keys...) per app/level/options, recorded before the
+#: option key scopes moved into field metadata and lowered IR became
+#: shared; refactors must not move them. A deliberate key change (the
+#: package version, CACHE_SCHEMA or PROC_SCHEMA) re-records them.
+PINNED_KEYS = {
+    "loopback4/none/default": (
+        "ec910ccd0c0d992f",
+        "p674e25be31a4befa",
+        "p2e9ff707cc181dba",
+        "p249140839baff76a",
+        "p56625128b73ff05d",
+    ),
+    "loopback4/unoptimized/default": (
+        "03c9d748ca41d0be",
+        "p62b8bb944a913cc8",
+        "p9dad1e127b1f08b8",
+        "pea20d14d8abdbf62",
+        "pc26978154c82c4b6",
+    ),
+    "loopback4/optimized/default": (
+        "6e54ff3e92f7f93f",
+        "paaad2cdf9e0e7b3",
+        "p2148c16dc499a9e7",
+        "p8345f9955d344d42",
+        "p164b042530f20d5f",
+    ),
+    "loopback4/optimized/noshare": (
+        "b94f2281b64b259b",
+        "p2e338b9d99422446",
+        "p7ed4c88519d217fd",
+        "pbd01ab1b952618d7",
+        "pbd7d9ca6aa2cc22e",
+    ),
+    "tripledes/none/default": (
+        "267a883b4737a700",
+        "p8dca8f5381a635db",
+    ),
+    "tripledes/unoptimized/default": (
+        "c1eccbdf4037bd70",
+        "p63ac7b5beda6b902",
+    ),
+    "tripledes/optimized/default": (
+        "0c0c1c202b286ffa",
+        "p4b4a1228abb15f87",
+    ),
+    "tripledes/optimized/noshare": (
+        "ed459292362f5858",
+        "pacd5cf2b79453981",
+    ),
+}
+
+
+def test_app_and_process_keys_are_pinned():
+    from repro.apps.loopback import build_loopback
+    from repro.apps.tripledes import build_tdes_app
+    from repro.core.synth import LEVELS
+    from repro.lab.cache import process_cache_key
+
+    variants = {"default": SynthesisOptions(),
+                "noshare": SynthesisOptions(share=False)}
+    got = {}
+    for app in (build_loopback(4), build_tdes_app()):
+        for level in LEVELS:
+            for tag, opts in variants.items():
+                if tag == "noshare" and level != "optimized":
+                    continue
+                got[f"{app.name}/{level}/{tag}"] = (
+                    cache_key(app, level, opts),
+                    *(process_cache_key(pd.name, str(pd.func), level, opts,
+                                        1 + 10 * i)
+                      for i, pd in enumerate(app.fpga_processes())))
+    assert got == PINNED_KEYS
+
+
 def test_extra_parts_invalidate():
     app = small_app()
     assert cache_key(app, "optimized", extra=("campaign", 1)) != \
