@@ -944,8 +944,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="with --replay: run the unreduced program")
     p.add_argument("--sim-backend", default="interp",
                    choices=("interp", "compiled"),
-                   help="'compiled' adds the repro.simc specialized "
-                        "simulators as strict lockstep legs")
+                   help="'compiled' adds the repro.simc compiled cycle "
+                        "model as a strict lockstep leg")
     _fabric_flags(p)
     p.set_defaults(func=cmd_difftest)
 

@@ -31,7 +31,7 @@ generated program (anything the oracle flags is then a real bug):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["GenConfig", "Program", "generate", "SCALAR_TYPES"]
 
@@ -266,9 +266,9 @@ class GenConfig:
     max_feed: int = 6
 
     def key_parts(self) -> tuple:
-        return (self.max_stmts, self.max_depth, self.max_block_depth,
-                self.arrays, self.loops, self.asserts, self.signed_kernel,
-                self.min_feed, self.max_feed)
+        """Every field's value, in declaration order, for the run
+        fingerprint: a field added later cannot be left out of it."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 # ---- generation -------------------------------------------------------------

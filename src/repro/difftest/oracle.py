@@ -67,7 +67,7 @@ class Divergence:
     """First observable disagreement between two execution models."""
 
     # 'interp-vs-cyclemodel' | 'cyclemodel-vs-rtl' (plus the strict
-    # compiled legs 'cyclemodel-vs-compiled' / 'rtl-vs-compiled')
+    # compiled leg 'cyclemodel-vs-compiled')
     phase: str
     kind: str   # 'stream-data' | 'stream-count' | 'cycle-count' | 'hang' | 'error'
     message: str
@@ -249,13 +249,13 @@ def run_difftest(
     itself is tested. ``cache`` is an optional
     :class:`repro.lab.cache.SynthesisCache` memoizing compilation.
 
-    ``sim_backend="compiled"`` adds the :mod:`repro.simc` compiled
-    simulators as a fourth and fifth leg, run in the same lockstep loop
-    and compared tick-for-tick against their tree-walking counterparts
-    (phases ``cyclemodel-vs-compiled`` / ``rtl-vs-compiled``). The
-    compiled legs are constructed in strict mode: a design the code
-    generator cannot specialize is a harness error (RPR-Y008), not a
-    silent fallback.
+    ``sim_backend="compiled"`` adds the :mod:`repro.simc` compiled cycle
+    model as a fourth leg, run in the same lockstep loop and compared
+    tick-for-tick against the interpreted cycle model (phase
+    ``cyclemodel-vs-compiled``). Either way the RTL side is the
+    interpreted :class:`RtlSim`. The compiled leg is constructed in
+    strict mode: a schedule the code generator cannot specialize is a
+    harness error (RPR-Y008), not a silent fallback.
     """
     if sim_backend not in ("interp", "compiled"):
         raise DifftestError(
@@ -350,20 +350,18 @@ def _lockstep(cp: CompiledProcess, reads, writes, stimulus, out_streams,
     except SimulationError as exc:
         raise DifftestError(f"RTL simulator rejected module: {exc}", code="RPR-Y006") from exc
 
-    # optional compiled legs: the simc-specialized simulators replay the
-    # identical stimulus on their own channels; any tick where their
-    # status, register file or stream traffic differs from the
-    # tree-walking models is a backend divergence
-    cpe = csim = None
-    ch_ccm = ch_crt = None
+    # optional compiled leg: the simc-specialized cycle model replays the
+    # identical stimulus on its own channels; any tick where its status,
+    # environment or stream traffic differs from the interpreted cycle
+    # model is a backend divergence
+    cpe = None
+    ch_ccm = None
     if sim_backend == "compiled":
         from repro import simc
 
         ch_ccm = _fresh_channels(func, reads, writes, stimulus)
-        ch_crt = _fresh_channels(func, reads, writes, stimulus)
         try:
             cpe = simc.make_process_exec(cp.schedule, ch_ccm, strict=True)
-            csim = simc.make_rtl_sim(cp.rtl, ch_crt, strict=True)
         except (SimCompileError, SimulationError) as exc:
             raise DifftestError(
                 f"compiled backend rejected design: {exc}", code="RPR-Y008"
@@ -426,7 +424,7 @@ def _lockstep(cp: CompiledProcess, reads, writes, stimulus, out_streams,
                               **here(cycle))
 
         if cpe is not None:
-            d = _compiled_step(cycle, s_cm, s_rt, pe, sim, cpe, csim, here)
+            d = _compiled_step(cycle, s_cm, pe, cpe, here)
             if d is not None:
                 return d
 
@@ -498,28 +496,23 @@ def _lockstep(cp: CompiledProcess, reads, writes, stimulus, out_streams,
         )
 
     if cpe is not None:
-        d = _compiled_final(pe, sim, cpe, csim, ch_cm, ch_rt, ch_ccm, ch_crt,
-                            out_streams, here)
+        d = _compiled_final(pe, cpe, ch_cm, ch_ccm, out_streams, here)
         if d is not None:
             return d
     return None
 
 
-def _compiled_step(cycle, s_cm, s_rt, pe, sim, cpe, csim, here):
-    """One lockstep tick of the compiled legs, compared to the interpreted
-    ones. Status, exception text, FSM position and the full register file /
-    environment must match every cycle — the comparisons are plain dict
-    equality, so the common all-agree case costs two C-level compares."""
+def _compiled_step(cycle, s_cm, pe, cpe, here):
+    """One lockstep tick of the compiled cycle model, compared to the
+    interpreted one. Status, exception text, FSM position and the full
+    environment must match every cycle — the environment comparison is
+    plain dict equality, so the common all-agree case costs one C-level
+    compare."""
     try:
         s_ccm = cpe.tick() if not cpe.done else "done"
         e_ccm = None
     except SimulationError as exc:
         s_ccm, e_ccm = "error", str(exc)
-    try:
-        s_crt = csim.tick() if not csim.done else "done"
-        e_crt = None
-    except SimulationError as exc:
-        s_crt, e_crt = "error", str(exc)
 
     if s_ccm != s_cm or e_ccm is not None \
             or (pe.block, pe.step) != (cpe.block, cpe.step):
@@ -530,14 +523,6 @@ def _compiled_step(cycle, s_cm, s_rt, pe, sim, cpe, csim, here):
                     f"compiled {s_ccm} at {cpe.block}[{cpe.step}]"
                     + (f" ({e_ccm})" if e_ccm else ""),
             values={"interp": s_cm, "compiled": e_ccm or s_ccm},
-            **here(cycle))
-    if s_crt != s_rt or e_crt is not None:
-        return Divergence(
-            phase="rtl-vs-compiled", kind="backend",
-            message=f"compiled RTL simulator diverged at cycle {cycle}: "
-                    f"interp {s_rt}, compiled {s_crt}"
-                    + (f" ({e_crt})" if e_crt else ""),
-            values={"interp": s_rt, "compiled": e_crt or s_crt},
             **here(cycle))
     if pe.env != cpe.env:
         diffs = {k: (pe.env.get(k), cpe.env.get(k))
@@ -552,59 +537,31 @@ def _compiled_step(cycle, s_cm, s_rt, pe, sim, cpe, csim, here):
             signal=name,
             values={"interp": diffs[name][0], "compiled": diffs[name][1]},
             cycle=cycle)
-    if sim.regs != csim.regs:
-        diffs = {k: (sim.regs.get(k), csim.regs.get(k))
-                 for k in set(sim.regs) | set(csim.regs)
-                 if sim.regs.get(k) != csim.regs.get(k)}
-        name = sorted(diffs)[0]
-        return Divergence(
-            phase="rtl-vs-compiled", kind="backend",
-            message=f"compiled RTL register diverged at cycle {cycle}: "
-                    f"{name} interp={diffs[name][0]} "
-                    f"compiled={diffs[name][1]}",
-            signal=name,
-            values={"interp": diffs[name][0], "compiled": diffs[name][1]},
-            cycle=cycle)
     return None
 
 
-def _compiled_final(pe, sim, cpe, csim, ch_cm, ch_rt, ch_ccm, ch_crt,
-                    out_streams, here):
-    """End-of-run checks for the compiled legs: stream contents, cycle and
-    stall counters, and RTL tap captures must be bit-identical."""
+def _compiled_final(pe, cpe, ch_cm, ch_ccm, out_streams, here):
+    """End-of-run checks for the compiled leg: stream contents and the
+    cycle and stall counters must be bit-identical."""
     for s in out_streams:
-        for who, a, b in (("cyclemodel-vs-compiled", ch_cm[s], ch_ccm[s]),
-                          ("rtl-vs-compiled", ch_rt[s], ch_crt[s])):
-            if list(a.queue) != list(b.queue):
-                return Divergence(
-                    phase=who, kind="backend",
-                    message=f"output {s}: interp backend wrote "
-                            f"{len(a.queue)} words, compiled wrote "
-                            f"{len(b.queue)} (or contents differ)",
-                    stream=s,
-                    values={"interp": len(a.queue),
-                            "compiled": len(b.queue)},
-                    **here(sim.cycles))
-    counters = (
-        ("cyclemodel-vs-compiled", "cycles", pe.cycles, cpe.cycles),
-        ("cyclemodel-vs-compiled", "stalls",
-         pe.stall_cycles, cpe.stall_cycles),
-        ("rtl-vs-compiled", "cycles", sim.cycles, csim.cycles),
-        ("rtl-vs-compiled", "stalls", sim.stalled, csim.stalled),
-    )
-    for who, what, a, b in counters:
+        a, b = ch_cm[s], ch_ccm[s]
+        if list(a.queue) != list(b.queue):
+            return Divergence(
+                phase="cyclemodel-vs-compiled", kind="backend",
+                message=f"output {s}: interp backend wrote "
+                        f"{len(a.queue)} words, compiled wrote "
+                        f"{len(b.queue)} (or contents differ)",
+                stream=s,
+                values={"interp": len(a.queue),
+                        "compiled": len(b.queue)},
+                **here(pe.cycles))
+    for what, a, b in (("cycles", pe.cycles, cpe.cycles),
+                       ("stalls", pe.stall_cycles, cpe.stall_cycles)):
         if a != b:
             return Divergence(
-                phase=who, kind="backend",
+                phase="cyclemodel-vs-compiled", kind="backend",
                 message=f"{what}: interp backend counted {a}, "
                         f"compiled counted {b}",
                 values={"interp": a, "compiled": b},
-                **here(sim.cycles))
-    if sim.taps != csim.taps:
-        return Divergence(
-            phase="rtl-vs-compiled", kind="backend",
-            message="RTL tap captures differ between backends",
-            values={"interp": {k: len(v) for k, v in sim.taps.items()},
-                    "compiled": {k: len(v) for k, v in csim.taps.items()}},
-            **here(sim.cycles))
+                **here(pe.cycles))
     return None

@@ -55,7 +55,7 @@ class DifftestSpec:
     reduce: bool = True
     reduce_checks: int = 300
     #: "interp" runs the classic three-way oracle; "compiled" adds the
-    #: :mod:`repro.simc` specialized simulators as strict lockstep legs
+    #: :mod:`repro.simc` compiled cycle model as a strict lockstep leg
     sim_backend: str = "interp"
 
     def seed_list(self) -> list[int]:

@@ -176,11 +176,10 @@ class SimCompileError(ReproError):
     """Raised by the compiled-simulation backend (:mod:`repro.simc`) when a
     design cannot be specialized to Python bytecode.
 
-    Backend selection (:func:`repro.simc.make_rtl_sim` /
-    :func:`repro.simc.make_process_exec`) catches this and falls back to
-    the interpreted simulators, surfacing the reason as an ``RPR-K101``
-    warning diagnostic; strict call sites (the difftest lockstep legs)
-    let it propagate."""
+    Backend selection (:func:`repro.simc.make_process_exec`) catches this
+    and falls back to the interpreted cycle model, surfacing the reason as
+    an ``RPR-K101`` warning diagnostic; strict call sites (the difftest
+    ``cyclemodel-vs-compiled`` leg) let it propagate."""
 
     code_prefix = "RPR-K"
 

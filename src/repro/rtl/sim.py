@@ -62,9 +62,6 @@ class RtlRunResult:
 class RtlSim:
     """Cycle simulator for one sequential module bound to channels."""
 
-    #: which simulation backend this class implements (repro.simc overrides)
-    backend = "interp"
-
     def __init__(
         self,
         module: R.Module,
@@ -123,8 +120,7 @@ class RtlSim:
 
         # port-value dispatch: name -> zero-arg callable, precomputed once
         # so the per-access cost is a dict hit instead of a linear scan over
-        # every bound stream. The compiled backend (repro.simc) reuses this
-        # table for ports it could not resolve statically.
+        # every bound stream.
         self._port_fns: dict[str, Callable[[], int]] = {}
         for stream, ch in self._readers.items():
             self._port_fns[f"{stream}_data"] = _peek_fn(ch)

@@ -1,12 +1,11 @@
 """Perf-bench harness for the compiled-simulation backend.
 
-Benches the interpreted simulators against their :mod:`repro.simc`
-specializations on the paper's three workloads (loopback chain, edge
-detector, Triple-DES) plus a standalone arithmetic RTL kernel, asserting
-bit-identity between the legs before trusting any timing. Emits a JSON
-document (``BENCH_sim.json``) whose entries carry *speedup ratios* — a
-machine-independent quantity — so a committed baseline can gate CI
-without caring how fast the runner is.
+Benches the interpreted cycle model against its :mod:`repro.simc`
+specialization on the paper's three workloads (loopback chain, edge
+detector, Triple-DES), asserting bit-identity between the legs before
+trusting any timing. Emits a JSON document (``BENCH_sim.json``) whose
+entries carry *speedup ratios* — a machine-independent quantity — so a
+committed baseline can gate CI without caring how fast the runner is.
 
 Entry points:
 
@@ -104,70 +103,6 @@ def _bench_hwexec(name: str, build_app, repeats: int) -> dict:
     }
 
 
-_RTL_KERNEL = """
-void k(co_stream input, co_stream output) {
-  uint32 x; uint32 acc; int32 s;
-  acc = 0;
-  while (co_stream_read(input, &x)) {
-    s = (int32)x - 1000;
-    acc = acc + ((s < 0) ? (uint32)(-s) : (uint32)s);
-    acc = (acc * 7) ^ (acc >> 3);
-    co_stream_write(output, (x * 13 + acc) & 65535);
-  }
-  co_stream_write(output, acc);
-  co_stream_close(output);
-}
-"""
-
-
-def _bench_rtl(name: str, data: list[int], repeats: int) -> dict:
-    """Bench the raw RTL simulators on a standalone sequential module.
-
-    The module is synthesized without assertions so both simulators bind
-    exactly two stream ports — this isolates the RtlSim tick loop itself
-    (the hwexec benches above cover the full mixed fabric).
-    """
-    from repro import simc
-    from repro.core.synth import synthesize
-    from repro.hls.cyclemodel import Channel
-    from repro.runtime.taskgraph import Application
-
-    app = Application("rtlbench")
-    app.add_c_process(_RTL_KERNEL, name="k", filename="rtlbench.c")
-    app.feed("in", "k.input", data=data)
-    app.sink("out", "k.output")
-    cp = synthesize(app, assertions="none").compiled["k"]
-
-    def run(backend: str):
-        cin = Channel("i", depth=len(data) + 2)
-        cout = Channel("o", unbounded=True)
-        for v in data:
-            cin.push(v)
-        cin.close()
-        sim = simc.make_rtl_sim(
-            cp.rtl, {"input": cin, "output": cout},
-            backend=backend, strict=True)
-        sim.run(max_cycles=10_000_000)
-        return (sim.cycles, sim.stalled, sim.taps, list(cout.queue),
-                cout.closed)
-
-    if run("interp") != run("compiled"):
-        raise BenchMismatchError(
-            f"{name}: interp/compiled RTL simulation differs",
-            code="RPR-M003")
-
-    interp_s, res = _time_best(lambda: run("interp"), repeats)
-    compiled_s, _ = _time_best(lambda: run("compiled"), repeats)
-    return {
-        "name": name,
-        "kind": "rtl",
-        "cycles": res[0],
-        "interp_s": round(interp_s, 6),
-        "compiled_s": round(compiled_s, 6),
-        "speedup": round(interp_s / compiled_s, 3),
-    }
-
-
 def _suite(quick: bool) -> list[tuple[str, Callable[[], dict], int]]:
     # quick mode trades timing stability (fewer repeats), NOT workload
     # size — the speedup ratios stay comparable to a full-mode baseline,
@@ -181,7 +116,6 @@ def _suite(quick: bool) -> list[tuple[str, Callable[[], dict], int]]:
     loop_data = list(range(1, 513))
     edge_wh = (32, 16)
     text = b"Now is the time for all good men to come to the aid!"
-    rtl_data = [i * 17 % 4096 for i in range(4000)]
 
     return [
         ("loopback3",
@@ -198,9 +132,6 @@ def _suite(quick: bool) -> list[tuple[str, Callable[[], dict], int]]:
         ("tripledes",
          lambda: _bench_hwexec(
              "tripledes", lambda: build_tdes_app(text), repeats),
-         repeats),
-        ("rtl_kernel",
-         lambda: _bench_rtl("rtl_kernel", rtl_data, repeats),
          repeats),
     ]
 

@@ -1,7 +1,7 @@
 """Content-addressed caching for generated simulator source.
 
-Specializing a design to Python source is itself work (tree walks over
-every state and schedule step), and sweeps/campaigns/difftest construct
+Specializing a design to Python source is itself work (a walk over
+every schedule step), and sweeps/campaigns/difftest construct
 thousands of simulators for a handful of distinct designs. Generated
 source is therefore cached at two levels:
 
@@ -81,23 +81,23 @@ def _default_cache():
 
 
 def cached_source(
-    kind: str,
     key_parts: tuple,
     generate: Callable[[], str],
     cache=None,
 ) -> str:
     """Return generated source for ``key_parts``, memoized + disk-cached.
 
-    ``kind`` namespaces the key (``rtl`` vs ``sched``); ``generate`` runs
-    only on a full miss. ``cache=None`` uses the process-wide lab cache
-    (disabled unless ``REPRO_LAB_CACHE`` is set), so call sites need no
-    conditionals.
+    ``generate`` runs only on a full miss. ``cache=None`` uses the
+    process-wide lab cache (disabled unless ``REPRO_LAB_CACHE`` is set),
+    so call sites need no conditionals.
     """
     from repro import __version__
 
-    fp = stable_fingerprint("simc", kind, CODEGEN_SCHEMA, __version__,
+    # "sched" stays in the fingerprint and the key so that entries already
+    # on disk under this CODEGEN_SCHEMA keep their keys
+    fp = stable_fingerprint("simc", "sched", CODEGEN_SCHEMA, __version__,
                             *key_parts)
-    key = f"simc-{kind}-{fp:016x}"
+    key = f"simc-sched-{fp:016x}"
     src = _SOURCE_MEMO.get(key)
     if src is not None:
         memo_stats.source_hits += 1

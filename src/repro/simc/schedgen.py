@@ -36,7 +36,6 @@ from repro.ir.values import Const, Temp, Value
 from repro.utils.bitops import mask, truncate
 
 from .codecache import cached_source, compile_source
-from .rtlgen import _Emitter, _sext_src
 
 __all__ = ["CompiledProcessExec", "generate_sched_source",
            "sched_exec_source"]
@@ -48,6 +47,30 @@ _LOUD = frozenset((OpKind.STREAM_READ, OpKind.STREAM_WRITE,
 
 def _identity(v):
     return v
+
+
+class _Emitter:
+    """Accumulates generated source lines with explicit indentation."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.indent = 0
+        self._temp = 0
+
+    def fresh(self) -> str:
+        self._temp += 1
+        return f"_t{self._temp}"
+
+    def put(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+
+def _sext_src(var: str, width: int) -> str:
+    """Branchless sign extension of an already-masked ``width``-bit value."""
+    if width <= 0:
+        return "0"
+    c = 1 << (width - 1)
+    return f"(({var} ^ {hex(c)}) - {hex(c)})"
 
 
 class _Opnd:
@@ -817,7 +840,6 @@ def generate_sched_source(fsched: FunctionSchedule) -> str:
 def sched_exec_source(fsched: FunctionSchedule, cache=None) -> str:
     """Cached variant of :func:`generate_sched_source`."""
     return cached_source(
-        "sched",
         (_schedule_digest(fsched),),
         lambda: generate_sched_source(fsched),
         cache=cache,

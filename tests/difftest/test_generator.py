@@ -53,3 +53,18 @@ def test_feed_bounds_respected():
 def test_stmt_count_counts_nested():
     prog = generate(3)
     assert prog.stmt_count() >= len(prog.body)
+
+
+def test_key_parts_cover_every_field():
+    """The run fingerprint's config slice: byte-identical to the
+    hand-listed tuple for the default config (so existing run ids hold),
+    and sensitive to every single field."""
+    import dataclasses
+
+    default = GenConfig()
+    assert default.key_parts() == (8, 3, 2, True, True, True, True, 2, 6)
+    for f in dataclasses.fields(GenConfig):
+        value = getattr(default, f.name)
+        other = (not value) if isinstance(value, bool) else value + 1
+        changed = dataclasses.replace(default, **{f.name: other})
+        assert changed.key_parts() != default.key_parts(), f.name

@@ -20,8 +20,8 @@ def entry(name, speedup, kind="hwexec", **extra):
 
 
 def test_clean_pass_with_matching_entries():
-    base = doc([entry("loopback3", 6.0), entry("rtl_kernel", 10.0, "rtl")])
-    cur = doc([entry("loopback3", 5.9), entry("rtl_kernel", 11.2, "rtl")])
+    base = doc([entry("loopback3", 6.0), entry("edge_detect", 10.0)])
+    cur = doc([entry("loopback3", 5.9), entry("edge_detect", 11.2)])
     notes: list[str] = []
     assert compare_bench(cur, base, notes=notes) == []
     assert notes == []
@@ -67,9 +67,9 @@ def test_unusable_speedup_notes_and_skips():
     degrade the gate for that entry, not crash the whole run."""
     base = doc([{"name": "loopback3", "kind": "hwexec"},  # no speedup
                 entry("tripledes", None),
-                entry("rtl_kernel", 10.0, "rtl")])
+                entry("edge_detect", 10.0)])
     cur = doc([entry("loopback3", 6.0), entry("tripledes", 5.5),
-               entry("rtl_kernel", 10.1, "rtl")])
+               entry("edge_detect", 10.1)])
     notes: list[str] = []
     assert compare_bench(cur, base, notes=notes) == []
     assert len(notes) == 2
@@ -94,7 +94,7 @@ def test_schema_mismatch_short_circuits():
 
 def test_committed_baseline_gates_itself_cleanly():
     """The repo's committed baseline must pass its own gate and carry
-    exactly the four interp-vs-compiled entries, each above 1x."""
+    exactly the three interp-vs-compiled entries, each above 1x."""
     import json
     import os
 
@@ -107,5 +107,5 @@ def test_committed_baseline_gates_itself_cleanly():
     assert notes == []
     kinds = {e["name"]: e["kind"] for e in baseline["entries"]}
     assert kinds == {"loopback3": "hwexec", "edge_detect": "hwexec",
-                     "tripledes": "hwexec", "rtl_kernel": "rtl"}
+                     "tripledes": "hwexec"}
     assert all(e["speedup"] > 1.0 for e in baseline["entries"])

@@ -8,7 +8,6 @@ from repro.lab.cache import SynthesisCache
 from repro.simc import (
     CompiledProcessExec,
     clear_memo,
-    rtl_sim_source,
     sched_exec_source,
 )
 from tests.helpers import compile_one
@@ -51,18 +50,24 @@ def test_second_codegen_hits_the_disk_cache(tmp_path, cp):
 
 def test_memo_hit_never_touches_the_disk_cache(tmp_path, cp):
     cache = SynthesisCache(tmp_path / "c")
-    rtl_sim_source(cp.rtl, ("input",), ("output",), cache=cache)
+    sched_exec_source(cp.schedule, cache=cache)
     before = cache.stats.as_dict()
-    rtl_sim_source(cp.rtl, ("input",), ("output",), cache=cache)
+    sched_exec_source(cp.schedule, cache=cache)
     assert cache.stats.as_dict() == before  # memo answered
 
 
-def test_rtl_and_sched_keys_do_not_collide(tmp_path, cp):
-    cache = SynthesisCache(tmp_path / "c")
-    a = sched_exec_source(cp.schedule, cache=cache)
-    b = rtl_sim_source(cp.rtl, ("input",), ("output",), cache=cache)
-    assert a != b
-    assert cache.stats.stores == 2
+def test_codegen_key_is_pinned(cp):
+    """The memo / lab-cache key of one schedule, recorded while a second
+    codegen kind still shared :func:`cached_source`: on-disk entries under
+    ``CODEGEN_SCHEMA`` 2 stay reachable only while these bytes hold (the
+    package version is part of the fingerprint, so a release re-records
+    it)."""
+    from repro import __version__
+    from repro.simc.codecache import _SOURCE_MEMO
+
+    sched_exec_source(cp.schedule)
+    assert __version__ == "1.0.0"
+    assert list(_SOURCE_MEMO) == ["simc-sched-59f16ac114eee085"]
 
 
 def test_different_designs_generate_different_source(tmp_path):
@@ -140,38 +145,26 @@ def test_clear_memo_resets_stats(tmp_path, cp):
         "code_hits": 0, "code_misses": 0}
 
 
-def test_memo_keys_embed_the_backend_kind(tmp_path, cp):
-    """The memo key string carries the kind (``simc-sched-…`` vs
-    ``simc-rtl-…``) *in addition to* the kind's slot in the fingerprint —
-    aliasing would need both to collide at once."""
-    from repro.simc.codecache import _SOURCE_MEMO
-
-    cache = SynthesisCache(tmp_path / "c")
-    sched_exec_source(cp.schedule, cache=cache)
-    rtl_sim_source(cp.rtl, ("input",), ("output",), cache=cache)
-    kinds = sorted(k.rsplit("-", 1)[0] for k in _SOURCE_MEMO)
-    assert kinds == ["simc-rtl", "simc-sched"]
-
-
-def test_memo_safe_under_concurrent_mixed_backend_codegen(tmp_path, cp):
-    """Serve-daemon shape: many threads generating cycle-model *and* RTL
-    source for the same design through one shared memo. Every thread
-    must get the bytes its kind asked for — never the sibling kind's —
-    and the memo must settle to one entry per kind."""
+def test_memo_safe_under_concurrent_codegen(tmp_path, cp):
+    """Serve-daemon shape: many threads generating cycle-model source for
+    two designs through one shared memo. Every thread must get the bytes
+    its design asked for — never the sibling's — and the memo must settle
+    to one entry per design."""
     import threading
 
     from repro.simc.codecache import _SOURCE_MEMO
 
     cache = SynthesisCache(tmp_path / "c")
+    other = compile_one(SRC.replace("x * 3 + 1", "x * 5 + 2"))
 
     def generate_both() -> dict:
         return {
-            "sched": sched_exec_source(cp.schedule, cache=cache),
-            "rtl": rtl_sim_source(cp.rtl, ("input",), ("output",),
-                                  cache=cache),
+            "a": sched_exec_source(cp.schedule, cache=cache),
+            "b": sched_exec_source(other.schedule, cache=cache),
         }
 
     refs = generate_both()
+    assert refs["a"] != refs["b"]
     clear_memo()  # hammer from a cold memo so threads race the misses
     errors: list[str] = []
     start = threading.Barrier(16)
@@ -179,9 +172,9 @@ def test_memo_safe_under_concurrent_mixed_backend_codegen(tmp_path, cp):
     def hammer(tid: int) -> None:
         start.wait()
         for _ in range(20):
-            for kind, src in generate_both().items():
-                if src != refs[kind]:
-                    errors.append(f"t{tid}: {kind} got foreign source")
+            for design, src in generate_both().items():
+                if src != refs[design]:
+                    errors.append(f"t{tid}: {design} got foreign source")
 
     threads = [threading.Thread(target=hammer, args=(t,))
                for t in range(16)]
@@ -190,7 +183,7 @@ def test_memo_safe_under_concurrent_mixed_backend_codegen(tmp_path, cp):
     for t in threads:
         t.join()
     assert not errors, errors[:3]
-    assert len(_SOURCE_MEMO) == 2  # one entry per kind, no dupes
+    assert len(_SOURCE_MEMO) == 2  # one entry per design, no dupes
 
 
 #: sha256 over the scalar generated source of every process of each app at
@@ -199,15 +192,12 @@ def test_memo_safe_under_concurrent_mixed_backend_codegen(tmp_path, cp):
 #: byte-identical so on-disk codegen entries under ``CODEGEN_SCHEMA`` stay
 #: valid
 SCALAR_SOURCE_DIGESTS = {
-    "loopback:3": (
+    "loopback:3":
         "586cf0a660708ce71769be77f0e2df502c1545c1eede7c6c25fb230acdf2da9e",
-        "6859ac793e5c13338e55f64f296f4408c45dd9e5bab9a32b32641b01ac85b25b"),
-    "edge": (
+    "edge":
         "1f646c5ecf7ecb415879fc5cec2d16a70395eceb0df4ec76057b22e7fe9396e6",
-        "b7a8b27ad02d1e1f5d5d2d698b6da99bf6fc7f8fe341df6f0766d734bc6e29be"),
-    "tripledes": (
+    "tripledes":
         "8ef12504dd5f4886edea521ea9ece798d2bab438218ec6c291e0bd8e1c7dac9f",
-        "149a65c839f041c064ea6ed7ca55bb94b7dc1e313b3a3d8f4cfd54d1f57bf8f4"),
 }
 
 
@@ -218,7 +208,7 @@ def test_scalar_source_is_byte_identical_to_recorded_digests(app_name):
     from repro.apps.edge_detect import build_edge_app
     from repro.apps.tripledes import build_tdes_app
     from repro.core.synth import synthesize
-    from repro.simc import generate_rtl_source, generate_sched_source
+    from repro.simc import generate_sched_source
     from repro.simc.codecache import CODEGEN_SCHEMA
 
     build = {
@@ -228,20 +218,11 @@ def test_scalar_source_is_byte_identical_to_recorded_digests(app_name):
     }[app_name]
     image = synthesize(build(), assertions="optimized")
 
-    def ports(module, suffix):
-        return tuple(sorted(p.signal.name[:-len(suffix)]
-                            for p in module.ports
-                            if p.signal.name.endswith(suffix)))
-
     sched = hashlib.sha256()
-    rtl = hashlib.sha256()
     for name in sorted(image.compiled):
-        cp = image.compiled[name]
-        sched.update(generate_sched_source(cp.schedule).encode())
-        rtl.update(generate_rtl_source(
-            cp.rtl, ports(cp.rtl, "_re"), ports(cp.rtl, "_we")).encode())
-    assert (sched.hexdigest(), rtl.hexdigest()) == \
-        SCALAR_SOURCE_DIGESTS[app_name]
+        sched.update(
+            generate_sched_source(image.compiled[name].schedule).encode())
+    assert sched.hexdigest() == SCALAR_SOURCE_DIGESTS[app_name]
     assert CODEGEN_SCHEMA == 2
 
 

@@ -1,11 +1,11 @@
-"""Difftest with compiled lockstep legs, and the lazy register capture.
+"""Difftest with the compiled lockstep leg, and the lazy register capture.
 
 Two properties are pinned here:
 
-* ``--sim-backend=compiled`` adds the specialized simulators as strict
-  legs of the lockstep oracle — they must agree with the interpreters
-  on clean programs and seeds, and any *interpreter* bug reintroduced
-  through the test seam shows up as a backend divergence;
+* ``--sim-backend=compiled`` adds the specialized cycle model as a
+  strict leg of the lockstep oracle — it must agree with the
+  interpreted cycle model on clean programs and seeds, and a bug in its
+  code generator shows up as a backend divergence;
 * the lazy per-cycle register capture (itemgetter + ring buffer) must
   not change what divergences look like — same first-register
   localization as the eager scan, plus the new ``reg_window`` context.
@@ -50,18 +50,25 @@ def test_generated_seeds_agree_with_compiled_legs():
         assert r.ok, f"seed {seed}: {r.divergence.describe()}"
 
 
-def test_interp_bug_caught_as_backend_divergence(monkeypatch):
-    """Reintroduce the signed-division bug into the *interpreted* RTL
-    simulator only: the compiled leg (which does not route through the
-    seam) stays correct, so the oracle reports an rtl-vs-compiled or
-    cyclemodel-vs-rtl divergence — the compiled legs are a real oracle,
-    not a mirror of the interpreter."""
-    monkeypatch.setattr("repro.rtl.sim._value_operands",
-                        lambda a, b, expr: (a, b))
-    r = run_difftest(DIV8, [0xF3], sim_backend="compiled")
+def test_compiled_codegen_bug_caught_as_backend_divergence(monkeypatch):
+    """Drop sign extension from the compiled cycle model's code generator
+    only: the interpreted cycle model and the RTL stay correct, so the
+    oracle must report the compiled leg — it is a real oracle, not a
+    mirror of the interpreter."""
+    from repro import simc
+
+    # the mutated source must not reach a shared on-disk codegen cache
+    monkeypatch.delenv("REPRO_LAB_CACHE", raising=False)
+    monkeypatch.setattr("repro.simc.schedgen._sext_src",
+                        lambda var, width: var)
+    simc.clear_memo()  # regenerate through the mutated emitter
+    try:
+        r = run_difftest(DIV8, [0xF3], sim_backend="compiled")
+    finally:
+        simc.clear_memo()  # never leave mutated source in the memo
     assert not r.ok
     d = r.divergence
-    assert d.phase in ("rtl-vs-compiled", "cyclemodel-vs-rtl")
+    assert (d.phase, d.kind) == ("cyclemodel-vs-compiled", "backend")
 
 
 def test_localization_is_unchanged_by_lazy_capture(monkeypatch):

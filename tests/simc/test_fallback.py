@@ -7,7 +7,6 @@ from repro.apps.loopback import build_loopback, expected_output
 from repro.core.synth import synthesize
 from repro.errors import SimCompileError
 from repro.hls.cyclemodel import Channel, ProcessExec
-from repro.rtl.sim import RtlSim
 from repro.runtime.hwexec import execute
 from tests.helpers import compile_one
 
@@ -35,7 +34,6 @@ def broken_codegen(monkeypatch):
         raise SimCompileError("synthetic unsupported construct",
                               code="RPR-K020")
 
-    monkeypatch.setattr("repro.simc.rtlgen.generate_rtl_source", boom)
     monkeypatch.setattr("repro.simc.schedgen.generate_sched_source", boom)
 
 
@@ -44,32 +42,23 @@ def test_fallback_returns_working_interpreter(broken_codegen):
     diags = []
     cin = Channel("i", depth=16)
     cout = Channel("o", unbounded=True)
-    sim = simc.make_rtl_sim(cp.rtl, {"input": cin, "output": cout},
-                            backend="compiled", diagnostics=diags)
-    assert type(sim) is RtlSim  # the plain interpreter, not a subclass
-    assert sim.backend == "interp"
+    pe = simc.make_process_exec(cp.schedule, {"input": cin, "output": cout},
+                                backend="compiled", diagnostics=diags)
+    assert type(pe) is ProcessExec  # the plain interpreter, not a subclass
+    assert pe.backend == "interp"
     assert len(diags) == 1
     assert diags[0]["code"] == simc.FALLBACK_CODE == "RPR-K101"
     assert diags[0]["severity"] == "warning"
     assert "RPR-K020" in " ".join(diags[0].get("notes", ()))
 
-    pe = simc.make_process_exec(cp.schedule, {"input": cin, "output": cout},
-                                backend="compiled", diagnostics=diags)
-    assert type(pe) is ProcessExec
-    assert len(diags) == 2
-
 
 def test_strict_mode_raises_instead_of_falling_back(broken_codegen):
     cp = compile_one(SRC)
     with pytest.raises(SimCompileError) as ei:
-        simc.make_rtl_sim(cp.rtl, {"input": Channel("i"),
-                                   "output": Channel("o")},
-                          backend="compiled", strict=True)
-    assert ei.value.code == "RPR-K020"
-    with pytest.raises(SimCompileError):
         simc.make_process_exec(cp.schedule, {"input": Channel("i"),
                                              "output": Channel("o")},
                                backend="compiled", strict=True)
+    assert ei.value.code == "RPR-K020"
 
 
 def test_execute_surfaces_fallback_and_still_completes(broken_codegen):
