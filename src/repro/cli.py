@@ -584,11 +584,10 @@ def cmd_serve(args) -> int:
         store_root=args.store,
         job_timeout=args.timeout,
         drain_timeout=args.drain_timeout,
-        name=args.name or "",
     ))
     host, port = server.address
     address = f"{host}:{port}"
-    print(f"repro serve: listening on {address} as {server.name!r} "
+    print(f"repro serve: listening on {address} "
           f"(workers={args.jobs}, queue={args.queue_depth}, "
           f"per-client={args.per_client})", flush=True)
     if args.address_file:
@@ -696,69 +695,6 @@ def cmd_submit(args) -> int:
     # reply.status is the result's status (ok/failed/timeout) or, for
     # non-result terminals, the event name (rejected/error)
     return SUBMIT_EXIT.get(reply.status, SUBMIT_EXIT["error"])
-
-
-def cmd_fabric(args) -> int:
-    """Shard a job across N serve daemons with failover to the next peer."""
-    import json as _json
-
-    from repro.errors import ReproError
-    from repro.serve.fabric import peer_status, run_fabric
-
-    peers = [tok.strip() for tok in (args.peers or "").split(",")
-             if tok.strip()]
-    if not peers:
-        raise SystemExit("repro fabric: need --peers HOST:PORT[,HOST:PORT..]")
-
-    if args.verb == "status":
-        status = peer_status(peers)
-        print(_json.dumps(status, indent=2, sort_keys=True))
-        return 0 if any(p["alive"] for p in status.values()) else 1
-
-    if args.verb == "sweep":
-        params = {
-            "name": args.name,
-            "apps": [{"kind": s.kind, "params": dict(s.params)}
-                     for s in (_parse_app_token(tok)
-                               for tok in args.apps.split(",") if tok)],
-            "levels": args.levels.split(","),
-            "variants": args.variants.split(","),
-        }
-    elif args.verb == "campaign":
-        params = {"app": args.app, "seed": args.seed, "count": args.count,
-                  "levels": args.levels.split(","), "nabort": args.nabort}
-    else:  # difftest
-        lo, _, hi = args.seeds.partition(":")
-        params = {"name": args.name, "seeds": [int(lo), int(hi)],
-                  "max_stmts": args.stmts, "max_cycles": args.max_cycles}
-
-    try:
-        result = run_fabric(
-            peers, args.verb, params, args.store, shards=args.shards,
-            timeout=args.timeout,
-            progress=None if args.json else sys.stderr)
-    except ReproError as exc:
-        raise SystemExit(f"repro fabric: {exc.code}: {exc}") from None
-
-    if args.json:
-        print(_json.dumps(result.as_dict(), indent=2, sort_keys=True))
-    else:
-        for shard in result.shards:
-            hops = " -> ".join(
-                f"{h['peer']}[{h['outcome']}]" for h in shard.attempts)
-            print(f"shard {shard.shard}: {shard.status} via {hops}")
-        if result.merge is not None:
-            print(f"fabric {args.verb}: ok "
-                  f"({len(result.shards)} shards, "
-                  f"{result.rerouted_shards} re-routed, "
-                  f"merged {len(result.merge.records)} records -> "
-                  f"{result.merge.run.dir}, {result.elapsed_s:.1f}s)")
-        else:
-            print(f"fabric {args.verb}: FAILED "
-                  f"({sum(1 for s in result.shards if not s.ok)} of "
-                  f"{len(result.shards)} shards did not land)",
-                  file=sys.stderr)
-    return 0 if result.ok else 1
 
 
 def _fabric_flags(p) -> None:
@@ -980,9 +916,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="how long shutdown waits for in-flight jobs")
     p.add_argument("--address-file", default=None, metavar="FILE",
                    help="write the bound host:port here once listening")
-    p.add_argument("--name", default=None,
-                   help="stable daemon name keying the crash-recoverable "
-                        "job journal (default host-port)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -1034,50 +967,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(
-        "fabric",
-        help="shard a job across multiple serve daemons, failing a "
-             "shard over to the next peer, with byte-identical merging",
-    )
-    p.add_argument("--peers", default=None, metavar="HOST:PORT,...",
-                   help="the fabric's daemon addresses (required); all "
-                        "must share one --store filesystem")
-    p.add_argument("--store", default="serve-runs", metavar="DIR",
-                   help="the shared result store the daemons journal "
-                        "into (merging happens here)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-shard job timeout")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="shard count (default: one per peer)")
-    p.add_argument("--json", action="store_true",
-                   help="print one JSON fabric summary object")
-    fabverb = p.add_subparsers(dest="verb", required=True)
-
-    fp = fabverb.add_parser("sweep", help="sharded design-space sweep")
-    fp.add_argument("--name", default="fabric-sweep")
-    fp.add_argument("--apps", default="loopback:4")
-    fp.add_argument("--levels", default="none,optimized")
-    fp.add_argument("--variants", default="default")
-
-    fp = fabverb.add_parser("campaign",
-                            help="sharded fault-injection campaign")
-    fp.add_argument("--app", default="loopback")
-    fp.add_argument("--levels", default="none,optimized")
-    fp.add_argument("--seed", type=int, default=0)
-    fp.add_argument("--count", type=int, default=4)
-    fp.add_argument("--nabort", action="store_true")
-
-    fp = fabverb.add_parser("difftest",
-                            help="sharded differential-fuzz campaign")
-    fp.add_argument("--name", default="fabric-difftest")
-    fp.add_argument("--seeds", default="0:10", metavar="LO:HI")
-    fp.add_argument("--stmts", type=int, default=8)
-    fp.add_argument("--max-cycles", type=int, default=200_000)
-
-    fabverb.add_parser("status", help="ping every peer once and print "
-                                      "which are alive or draining")
-    p.set_defaults(func=cmd_fabric)
-
-    p = sub.add_parser(
         "merge",
         help="fold per-shard run directories into one canonical run",
     )
@@ -1099,7 +988,7 @@ def main(argv: list[str] | None = None) -> int:
                         "simulation (sim, default) or cold-vs-warm/edit "
                         "incremental synthesis (synth)")
     p.add_argument("--quick", action="store_true",
-                   help="single timing repeat per leg (same workloads)")
+                   help="fewer timing repeats (same workloads)")
     p.add_argument("--out", default=None, metavar="JSON",
                    help="write the bench document to this file")
     p.add_argument("--baseline", default=None, metavar="JSON",

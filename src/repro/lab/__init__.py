@@ -57,8 +57,8 @@ On top of those sit the fault-tolerant **campaign fabric** pieces:
 
 ``chaos``
     Deterministic fault injection into the fabric itself (worker crashes,
-    hangs, torn journal writes) — the harness that proves the pieces
-    above actually deliver their guarantees.
+    hangs, torn journal writes, killed cache-lease holders) — the harness
+    that proves the pieces above actually deliver their guarantees.
 
 Determinism contract: workers receive pure, picklable inputs
 (:class:`SweepPoint`), the toolchain itself is seedless, and outcomes are

@@ -73,6 +73,7 @@ from pathlib import Path
 
 from repro.core.synth import SynthesisOptions
 from repro.hls.constraints import HLSConfig
+from repro.lab.chaos import active_chaos
 from repro.platform.device import EP2S180, DeviceModel
 from repro.utils.idgen import stable_fingerprint
 
@@ -274,14 +275,6 @@ class CacheStats:
         return (f"cache hits={self.hits} misses={self.misses} "
                 f"stores={self.stores} evictions={self.evictions} "
                 f"proc={self.proc_hits}/{self.proc_hits + self.proc_misses}")
-
-
-def _active_chaos():
-    """Late import: chaos is an optional test harness, and the hook must
-    cost one env lookup when unarmed."""
-    from repro.lab.chaos import active_chaos
-
-    return active_chaos()
 
 
 @dataclass
@@ -546,7 +539,7 @@ class SynthesisCache:
                                  owned=False)
             self._unlink_quietly(claim)
             lease = FillLease(key=key, path=path, pid=pid, epoch=epoch)
-            chaos = _active_chaos()
+            chaos = active_chaos()
             if chaos is not None:
                 chaos.injure_lease_holder(f"lease-fill:{key}")
             return lease

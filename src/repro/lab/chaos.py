@@ -1,13 +1,13 @@
-"""Deterministic fault injection for the lab fabric itself.
+"""Deterministic fault injection for the lab's own infrastructure.
 
 :mod:`repro.faults` injects faults into *simulated hardware* to measure
 whether in-circuit assertions catch them; this module injects faults into
-the *campaign infrastructure* — worker processes and the result journal —
-to prove that the executor/retry/store/shard stack survives its own
-failure modes. Same philosophy, one layer down: the verification
-infrastructure is itself a system under test.
+the *campaign infrastructure* — worker processes, the result journal and
+the cache's fill leases — to prove that the executor/retry/store/shard
+stack survives its own failure modes. Same philosophy, one layer down:
+the verification infrastructure is itself a system under test.
 
-Seven fault kinds, mirroring what real million-point campaigns see:
+Four fault kinds, mirroring what long campaigns see:
 
 ``crash``
     the worker process dies mid-point (``os._exit``), exactly like a
@@ -20,28 +20,7 @@ Seven fault kinds, mirroring what real million-point campaigns see:
     the *driver* process is killed between appending a result record and
     fsyncing it, leaving a torn JSONL line — exercises
     :class:`repro.lab.store.StoreStats` corruption counting and
-    resume-to-identical-results semantics.
-
-Four network-layer kinds aim the same philosophy at the serve fabric
-(the multi-node daemon mesh of :mod:`repro.serve`):
-
-``connect_refuse``
-    the client's connect attempt raises ``ConnectionRefusedError`` —
-    exercises the client's bounded reconnect retries (RPR-V006);
-``stream_cut``
-    the daemon closes the connection after streaming ``accepted`` but
-    before the terminal event — exercises truncated-stream RPR-V007
-    classification and fabric re-routing;
-``reply_delay``
-    the daemon sleeps ``delay_s`` before the terminal event — exercises
-    client deadlines and straggler behavior;
-``daemon_kill``
-    the daemon SIGKILLs itself as it starts executing a job — the
-    hardest fault the fabric must survive: clients see a dead peer,
-    the write-ahead journal sees an orphaned job, and the fabric
-    router must re-route the shard. **Never arm this in-process** (it
-    kills the whole interpreter); it is meant for subprocess daemons.
-
+    resume-to-identical-results semantics;
 ``lease_kill``
     the worker SIGKILLs itself right after claiming a cache fill lease
     (:meth:`repro.lab.cache.SynthesisCache.acquire_fill`) — exercises
@@ -58,8 +37,10 @@ converges to the same final results as an uninterrupted one — which is
 exactly the property the chaos suite asserts.
 
 Arming: set ``REPRO_CHAOS`` to a JSON object (see :meth:`ChaosSpec.to_env`)
-in the environment of the run under test. Workers and the store check the
-variable lazily; when unset, the hooks cost one dict lookup.
+in the environment of the run under test. Workers, the store and the cache
+check the variable lazily; when unset, the hooks cost one dict lookup. A
+value that does not parse as a :class:`ChaosSpec` raises ``RPR-E005``
+rather than silently disarming the run.
 """
 
 from __future__ import annotations
@@ -69,6 +50,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 
+from repro.errors import ReproError
 from repro.utils.idgen import stable_fingerprint
 
 __all__ = ["ENV_VAR", "ChaosSpec", "ChaosMonkey", "active_chaos"]
@@ -98,12 +80,6 @@ class ChaosSpec:
     torn_write: float = 0.0
     hang_s: float = 3600.0
     torn_style: str = "partial"   # 'partial' line or 'afterwrite' kill
-    # network-layer faults (serve fabric)
-    connect_refuse: float = 0.0
-    stream_cut: float = 0.0
-    reply_delay: float = 0.0
-    delay_s: float = 0.05
-    daemon_kill: float = 0.0
     #: SIGKILL the process right after it claims a cache fill lease —
     #: proves leases never leak (waiters detect the dead owner pid and
     #: take the lease over instead of waiting out the stale window)
@@ -191,37 +167,7 @@ class ChaosMonkey:
             fh.flush()
         os._exit(TORN_EXIT)
 
-    # ---- network-layer injection (serve fabric) -------------------------
-
-    def injure_connect(self, token: str) -> None:
-        """Called from :meth:`repro.serve.client.ServeClient` before a
-        connect attempt; raises the same error a dead peer produces."""
-        if self.should_fire("connect_refuse", self.spec.connect_refuse,
-                            token):
-            raise ConnectionRefusedError(
-                f"chaos: connection refused ({token})")
-
-    def cut_stream(self, token: str) -> bool:
-        """Called from the daemon after streaming ``accepted``; True
-        tells the handler to drop the connection without a terminal
-        event (the client sees a truncated stream)."""
-        return self.should_fire("stream_cut", self.spec.stream_cut, token)
-
-    def delay_reply(self, token: str) -> None:
-        """Called from the daemon before the terminal event; sleeps
-        ``delay_s`` when the fault fires."""
-        if self.should_fire("reply_delay", self.spec.reply_delay, token):
-            time.sleep(self.spec.delay_s)
-
-    def injure_daemon(self, token: str) -> None:
-        """Called from the daemon as a job starts executing; SIGKILLs the
-        whole daemon process when the fault fires — the crash the
-        write-ahead journal and fabric failover exist for. Only arm in
-        subprocess daemons."""
-        if self.should_fire("daemon_kill", self.spec.daemon_kill, token):
-            import signal
-
-            os.kill(os.getpid(), signal.SIGKILL)
+    # ---- cache-side injection (fill leases) -----------------------------
 
     def injure_lease_holder(self, token: str) -> None:
         """Called from :meth:`repro.lab.cache.SynthesisCache.acquire_fill`
@@ -234,18 +180,23 @@ class ChaosMonkey:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-_cache: dict[str, ChaosMonkey | None] = {}
+_cache: dict[str, ChaosMonkey] = {}
 
 
 def active_chaos() -> ChaosMonkey | None:
     """The armed :class:`ChaosMonkey`, or None when ``REPRO_CHAOS`` is
-    unset/invalid. Parsed once per distinct env value."""
+    unset. Parsed once per distinct env value; a value that is not a
+    valid :class:`ChaosSpec` raises ``RPR-E005``, because a silently
+    disarmed run would let a chaos test pass without injecting anything."""
     value = os.environ.get(ENV_VAR)
     if not value:
         return None
     if value not in _cache:
         try:
             _cache[value] = ChaosMonkey(ChaosSpec.from_env(value))
-        except (ValueError, TypeError, KeyError):
-            _cache[value] = None
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise ReproError(
+                f"malformed ${ENV_VAR}: {exc}", code="RPR-E005",
+                hint="unset it, or give a JSON object of ChaosSpec fields "
+                     "(crash, hang, torn_write, lease_kill, ...)") from None
     return _cache[value]

@@ -54,6 +54,7 @@ from typing import Callable, Sequence
 
 from repro.diagnostics.bridge import diagnostics_from_exception
 from repro.diagnostics.core import Diagnostic
+from repro.lab.chaos import active_chaos
 
 __all__ = ["ExecStats", "PointOutcome", "LabExecutor"]
 
@@ -139,8 +140,6 @@ def _worker_shim(fn, item, trace_path, token):
         except OSError:
             pass
     try:
-        from repro.lab.chaos import active_chaos
-
         chaos = active_chaos()
         if chaos is not None:
             chaos.injure_worker(token)

@@ -45,8 +45,8 @@ __all__ = [
 #: The serve layer contributes its own transients — capacity rejections
 #: (RPR-V002), a draining daemon (RPR-V004), an unreachable daemon
 #: (RPR-V006) and a mid-stream disconnect after acceptance (RPR-V007) —
-#: so the fabric router and the daemon client classify network faults
-#: with the *same* policy campaigns use for worker faults.
+#: so the daemon client classifies network faults with the *same*
+#: policy campaigns use for worker faults.
 TRANSIENT_CODES = frozenset({
     "RPR-E001", "RPR-E002", "RPR-E003",
     "RPR-V002", "RPR-V004", "RPR-V006", "RPR-V007",
@@ -78,7 +78,7 @@ def is_transient_exception(exc: BaseException) -> bool:
     """True when an exception carries a transient diagnostic code.
 
     The one classification seam for exception-shaped failures (the serve
-    client's connection errors, a fabric shard's rejection): a
+    client's connection errors, a daemon's capacity rejection): a
     :class:`~repro.errors.ReproError` whose ``code`` is in
     :data:`TRANSIENT_CODES` is worth retrying elsewhere or later.
     """

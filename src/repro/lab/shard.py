@@ -91,8 +91,7 @@ class ShardSpec:
     @classmethod
     def partition(cls, total: int) -> list["ShardSpec"]:
         """All ``total`` slices of a K/N split, in order — together they
-        cover every point exactly once (the fabric homes one slice per
-        serve peer)."""
+        cover every point exactly once."""
         if total < 1:
             raise ShardError(
                 f"bad shard count {total}: want N >= 1", code="RPR-W010")

@@ -25,6 +25,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.lab.chaos import active_chaos
+
 __all__ = ["StoreStats", "RunHandle", "ResultStore"]
 
 MANIFEST_NAME = "manifest.json"
@@ -86,7 +88,7 @@ class RunHandle:
             self._tail_healed = True
         line = json.dumps(record, sort_keys=True, default=str)
         with open(self.results_path, "a") as fh:
-            chaos = _active_chaos()
+            chaos = active_chaos()
             if chaos is not None:
                 chaos.torn_write_kill(fh, line,
                                       str(record.get("point_id", "")))
@@ -163,14 +165,3 @@ class ResultStore:
                                or (p / MANIFEST_NAME).exists())
         )
 
-
-def _active_chaos():
-    """Chaos hook indirection (import guarded so a broken chaos module
-    can never take the store down with it)."""
-    if not os.environ.get("REPRO_CHAOS"):
-        return None
-    try:
-        from repro.lab.chaos import active_chaos
-    except Exception:  # pragma: no cover
-        return None
-    return active_chaos()

@@ -11,6 +11,11 @@ so N clients asking for the same synthesis cost one execution
 (:mod:`repro.serve.coalesce`) — under explicit admission control
 (:mod:`repro.serve.admission`).
 
+There is one daemon per workflow and it knows of no peers: campaigns
+scale out with ``--shard K/N`` and ``repro merge``, and daemons that
+happen to share a ``--cache`` directory fill each key once through the
+cache's fill leases.
+
 Import layering: this package top level only re-exports the light pieces
 (protocol + client), so ``repro submit`` stays fast to import; the
 server (which pulls in the whole synthesis stack) is imported lazily by

@@ -4,23 +4,23 @@ The protocol is one-request-per-connection (see
 :mod:`repro.serve.protocol`), so the client is stateless: every call
 opens a socket, writes one line, reads events until a terminal one, and
 returns a :class:`SubmitReply`. ``repro submit`` is a thin CLI shell over
-this module; tests and the fabric router drive it directly.
+this module; tests drive it directly.
 
-Failure classification is deliberately precise, because the fabric
-router routes on it:
+Failure classification is deliberately precise, because callers decide
+on it whether to resubmit:
 
 * the daemon cannot be reached at all, or closes the connection before
   sending *any* event — ``RPR-V006``. Nothing was accepted, so the
   client transparently retries the connection a bounded number of times
   with the deterministic backoff of :class:`repro.lab.retry.RetryPolicy`
-  (daemon-startup races and transient peer blips stop failing submits);
+  (daemon-startup races stop failing submits);
 * the stream dies *after* events started flowing (daemon crashed or was
-  SIGKILL'd mid-job) — ``RPR-V007``, a **truncated stream**. The raised
+  killed mid-job) — ``RPR-V007``, a **truncated stream**. The raised
   error preserves the partial events (``exc.events``) for triage, and
-  the code is classified transient by :mod:`repro.lab.retry` so the
-  fabric resubmits the work to the next peer instead of giving up. Truncated streams are
-  never blindly retried here: the job may be running on the (possibly
-  still alive) daemon, and resubmission policy belongs to the caller.
+  the code is classified transient by :mod:`repro.lab.retry`, so a
+  caller may resubmit. Truncated streams are never blindly retried
+  here: the job may be running on the (possibly still alive) daemon,
+  and resubmission policy belongs to the caller.
 
 The daemon address comes from the ``--address`` flag, the
 ``REPRO_SERVE`` environment variable, or an address file ``repro serve``
@@ -35,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ServeError
-from repro.lab.chaos import active_chaos
 from repro.lab.retry import RetryPolicy
 from repro.serve import protocol
 
@@ -49,9 +48,9 @@ _SOCKET_GRACE_S = 10.0
 
 #: reconnect policy: 3 connection attempts total, fast deterministic
 #: backoff, no circuit breaker — after these, RPR-V006 means the daemon
-#: is down, which is what lets the fabric keep no peer-health table
-_CONNECT_ATTEMPTS = 3
-_CONNECT_BACKOFF_S = 0.1
+#: is down
+_CONNECT_POLICY = RetryPolicy(max_attempts=3, base_delay=0.1,
+                              max_delay=2.0, breaker=None)
 
 
 def parse_address(text: str | None) -> tuple[str, int]:
@@ -143,8 +142,8 @@ def _truncated_error(address: str, events: list[dict],
         f": {cause}",
         code="RPR-V007",
         hint="the daemon likely crashed or was killed; the job is "
-             "idempotent and journaled, so resubmitting it (here or to "
-             "a peer) resumes rather than recomputes")
+             "idempotent and its runs are journaled in the result store, "
+             "so resubmitting it resumes rather than recomputes")
     #: the events received before the stream died, for triage
     exc.events = list(events)
     return exc
@@ -155,25 +154,17 @@ class ServeClient:
 
     ``client_id`` is what per-client admission control budgets against;
     parallel tools should pick distinct ids (the CLI defaults to
-    ``user@pid``). ``connect_attempts`` bounds the transparent
-    reconnect loop (1 = never retry); retry delays come from
-    ``retry_policy`` (a :class:`repro.lab.retry.RetryPolicy`, shared
-    with the campaign fabric — never a second backoff implementation).
+    ``user@pid``).
     """
 
     def __init__(self, address: str | tuple[str, int] | None = None,
-                 client_id: str | None = None,
-                 connect_attempts: int = _CONNECT_ATTEMPTS,
-                 retry_policy: RetryPolicy | None = None) -> None:
+                 client_id: str | None = None) -> None:
         if isinstance(address, tuple):
             self.address = address
         else:
             self.address = parse_address(address)
         self.client_id = client_id or f"{os.environ.get('USER', 'user')}" \
                                       f"@{os.getpid()}"
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=max(1, connect_attempts),
-            base_delay=_CONNECT_BACKOFF_S, max_delay=2.0, breaker=None)
 
     @property
     def address_text(self) -> str:
@@ -194,10 +185,10 @@ class ServeClient:
                 # event seen) are safe to retry transparently; truncated
                 # streams (RPR-V007) and protocol errors propagate
                 if exc.code != "RPR-V006" or \
-                        attempt >= self.retry_policy.max_attempts:
+                        attempt >= _CONNECT_POLICY.max_attempts:
                     raise
             attempt += 1
-            time.sleep(self.retry_policy.delay(attempt, self.address_text))
+            time.sleep(_CONNECT_POLICY.delay(attempt, self.address_text))
 
     def _attempt(self, request: dict,
                  deadline: float | None) -> SubmitReply:
@@ -206,9 +197,6 @@ class ServeClient:
         died before a terminal event)."""
         address = self.address_text
         try:
-            chaos = active_chaos()
-            if chaos is not None:
-                chaos.injure_connect(f"serve-connect:{address}")
             conn = socket.create_connection(self.address, timeout=5.0)
         except OSError as exc:
             raise ServeError(

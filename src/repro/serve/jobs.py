@@ -38,7 +38,6 @@ from repro.lab.sweep import (
     build_app,
     evaluate_point_cached,
 )
-from repro.lab.shard import ShardError, ShardSpec
 from repro.serve import protocol
 from repro.utils.idgen import stable_fingerprint
 
@@ -100,19 +99,6 @@ def _variant(params: dict) -> str:
     return variant
 
 
-def _shard(params: dict) -> ShardSpec | None:
-    """The optional ``shard: "K/N"`` param the fabric router adds so
-    each peer journals its deterministic slice into ``<base>.sKofN``."""
-    text = params.get("shard")
-    if text is None:
-        return None
-    try:
-        return ShardSpec.parse(str(text))
-    except ShardError as exc:
-        raise ServeError(f"bad shard param: {exc.message}",
-                         code="RPR-V001") from None
-
-
 def _synth_point(params: dict) -> SweepPoint:
     app = _app_spec(params.get("app"), "synth job")
     level = _level(params)
@@ -169,16 +155,10 @@ def job_fingerprint(spec: JobSpec) -> str:
         point = _synth_point(spec.params)
         return cache_key(build_app(point.app), point.level, point.options,
                          point.device)
-    # a sharded sweep/difftest is *different work* from its siblings and
-    # from the unsharded whole — suffix the label so shards of one spec
-    # never coalesce into a single slice's execution
-    shard = _shard(spec.params)
-    suffix = f"-{shard.label}" if shard else ""
     if spec.kind == "sweep":
-        return f"sweep-{_sweep_spec(spec.params).fingerprint()}{suffix}"
+        return f"sweep-{_sweep_spec(spec.params).fingerprint()}"
     if spec.kind == "difftest":
-        return (f"difftest-{_difftest_spec(spec.params).fingerprint()}"
-                f"{suffix}")
+        return f"difftest-{_difftest_spec(spec.params).fingerprint()}"
     # campaign and sleep: a stable hash over the normalized params
     fp = stable_fingerprint(
         "serve-job", spec.kind, tuple(sorted(
@@ -213,7 +193,7 @@ def run_job(spec: JobSpec, ctx: JobContext) -> dict:
         result = run_sweep(
             _sweep_spec(spec.params), jobs=ctx.jobs,
             store_root=ctx.store_root, cache_root=ctx.cache_root,
-            shard=_shard(spec.params), progress=False,
+            progress=False,
         )
         return protocol.sweep_summary(result)
 
@@ -230,7 +210,6 @@ def run_job(spec: JobSpec, ctx: JobContext) -> dict:
             jobs=ctx.jobs,
             cache_root=ctx.cache_root,
             store_root=ctx.store_root,
-            shard=_shard(params),
         )
         return protocol.campaign_summary(result)
 
@@ -240,7 +219,7 @@ def run_job(spec: JobSpec, ctx: JobContext) -> dict:
         result = run_difftest_campaign(
             _difftest_spec(spec.params), jobs=ctx.jobs,
             store_root=ctx.store_root, cache_root=ctx.cache_root,
-            shard=_shard(spec.params), progress=False,
+            progress=False,
         )
         return protocol.difftest_summary(result)
 

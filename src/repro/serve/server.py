@@ -26,14 +26,8 @@ still-open flight with a transient RPR-V004 failure (so every waiting
 follower receives a terminal event), then tears the pool down and reports
 whether the drain was clean.
 
-Every accepted job is logged to a crash-recoverable **write-ahead
-journal** (:mod:`repro.serve.journal`) before execution, so a SIGKILL
-between acceptance and completion surfaces as an *orphaned job* in the
-restarted daemon's ``/stats`` instead of vanishing. A daemon knows
-nothing about its peers: the fabric client
-(:func:`repro.serve.fabric.run_fabric`) assigns shards and fails them
-over, and daemons sharing one ``--cache`` directory perform one
-synthesis per key through the cache's fill leases.
+Daemons sharing one ``--cache`` directory perform one synthesis per key
+through the cache's fill leases.
 """
 
 from __future__ import annotations
@@ -49,21 +43,19 @@ from repro.diagnostics.bridge import diagnostics_from_exception
 from repro.diagnostics.core import Diagnostic
 from repro.errors import ReproError, ServeError
 from repro.lab.cache import SynthesisCache
-from repro.lab.chaos import active_chaos
 from repro.lab.executor import ExecStats, PointOutcome
 from repro.lab.retry import is_transient
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
 from repro.serve.coalesce import Coalescer
 from repro.serve.jobs import JobContext, job_fingerprint, parse_job, run_job
-from repro.serve.journal import JobJournal
 from repro.simc.codecache import memo_stats
 
 __all__ = ["JobResult", "ReproServer", "ServeConfig"]
 
 #: diagnostic code a timed-out job carries — deliberately the executor's
 #: hang code, so :func:`repro.lab.retry.is_transient` classifies daemon
-#: timeouts exactly like sweep-fabric timeouts
+#: timeouts exactly like a sweep worker's timeouts
 TIMEOUT_CODE = "RPR-E002"
 
 
@@ -83,9 +75,6 @@ class ServeConfig:
     #: default per-job timeout (seconds); a request's own timeout wins
     job_timeout: float | None = None
     drain_timeout: float = 30.0
-    #: stable daemon name — keys the write-ahead job journal across
-    #: restarts; defaults to host-port once the listener is bound
-    name: str = ""
 
 
 @dataclass
@@ -135,7 +124,7 @@ class ReproServer:
         self.pool = ThreadPoolExecutor(
             max_workers=cfg.max_inflight,
             thread_name_prefix="repro-serve-worker")
-        #: fabric stats folded out of every driver-run manifest
+        #: executor stats folded out of every driver-run manifest
         self.exec_stats = ExecStats()
         self._counters = {
             "submitted": 0, "completed": 0, "failed": 0, "timeout": 0,
@@ -162,10 +151,6 @@ class ReproServer:
         self._listener.listen(128)
         self._listener.settimeout(0.2)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
-
-        #: stable identity for the write-ahead journal
-        self.name = cfg.name or f"{self.address[0]}-{self.address[1]}"
-        self.journal = JobJournal(cfg.store_root, self.name)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -331,8 +316,7 @@ class ReproServer:
 
             t0 = time.monotonic()
             if is_leader:
-                result = self._lead(spec, fingerprint, flight, timeout,
-                                    job_id=job_id, client=client)
+                result = self._lead(spec, fingerprint, flight, timeout)
             else:
                 result = self._follow(fingerprint, flight, timeout, t0)
             with self._lock:
@@ -340,11 +324,6 @@ class ReproServer:
                     "completed" if result.status == "ok"
                     else result.status if result.status in self._counters
                     else "failed"] += 1
-            chaos = active_chaos()
-            if chaos is not None:
-                if chaos.cut_stream(f"serve-stream:{fingerprint}"):
-                    return  # handler exits; client sees a truncated stream
-                chaos.delay_reply(f"serve-reply:{fingerprint}")
             self._send(stream, protocol.result_event(
                 job_id, spec.kind, result.status, record=result.record,
                 diagnostics=result.diagnostics, transient=result.transient,
@@ -353,27 +332,14 @@ class ReproServer:
             self.admission.release_client(client)
 
     def _lead(self, spec, fingerprint: str, flight,
-              timeout: float | None, job_id: str = "j0",
-              client: str = "anon") -> JobResult:
+              timeout: float | None) -> JobResult:
         """Run the job on the worker pool, publish its outcome to the
-        flight.
-
-        The accepted record hits the write-ahead journal *before* any
-        execution: if the daemon dies past this point, the next epoch
-        reports the job as orphaned instead of forgetting it.
-        """
-        self.journal.accepted(job_id, fingerprint, spec.kind, client)
-        result = self._lead_inner(spec, fingerprint, flight, timeout)
-        self.journal.done(job_id, fingerprint, result.status)
-        return result
-
-    def _lead_inner(self, spec, fingerprint: str, flight,
-                    timeout: float | None) -> JobResult:
+        flight."""
         with self._lock:
             self._active_jobs += 1
         t0 = time.monotonic()
         try:
-            future = self.pool.submit(self._execute, spec, fingerprint, t0)
+            future = self.pool.submit(self._execute, spec, t0)
         except RuntimeError as exc:  # pool torn down mid-submit
             with self._lock:
                 self._active_jobs -= 1
@@ -423,14 +389,9 @@ class ReproServer:
             diagnostics=result.diagnostics, transient=result.transient,
             elapsed_s=round(time.monotonic() - t0, 4))
 
-    def _execute(self, spec, fingerprint: str, t0: float) -> JobResult:
+    def _execute(self, spec, t0: float) -> JobResult:
         """Worker-thread body: run the job, classify any failure."""
         try:
-            chaos = active_chaos()
-            if chaos is not None:
-                # the hardest fault in the chaos menu: SIGKILL the whole
-                # daemon as execution starts (subprocess daemons only)
-                chaos.injure_daemon(f"serve-exec:{fingerprint}")
             record = run_job(spec, self.context)
         except BaseException as exc:  # noqa: BLE001 - classified below
             diags = diagnostics_from_exception(exc)
@@ -488,13 +449,11 @@ class ReproServer:
             "schema": protocol.PROTOCOL_VERSION,
             "event": "stats",
             "address": list(self.address),
-            "name": self.name,
             "uptime_s": round(time.monotonic() - self._started, 3),
             "draining": self.admission.draining,
             "jobs": self.job_counters(),
             "coalesce": self.coalescer.snapshot(),
             "admission": self.admission.snapshot(),
-            "journal": self.journal.snapshot(),
             "cache": self.cache.stats.as_dict(),
             "incremental": self.incremental_counters(),
             "executor": exec_block,
@@ -508,6 +467,5 @@ class ReproServer:
                 "store_root": cfg.store_root,
                 "job_timeout": cfg.job_timeout,
                 "drain_timeout": cfg.drain_timeout,
-                "name": self.name,
             },
         }

@@ -15,6 +15,7 @@ from repro.faults.campaign import (
     generate_scenarios,
     run_campaign,
 )
+from repro.lab.shard import ShardSpec, merge_runs
 
 
 def loopback_campaign(**kw):
@@ -120,6 +121,27 @@ def test_parallel_campaign_reproduces_serial_matrix_exactly(tmp_path):
     warm = loopback_campaign(count=4, jobs=2,
                              cache_root=str(tmp_path / "cache"))
     assert warm.outcomes == serial.outcomes
+
+
+def test_sharded_campaign_merge_is_byte_identical(tmp_path):
+    """The three K/3 slices of a campaign, merged, are the unsharded
+    campaign's merged bytes: results and coverage matrix alike."""
+    sharded, whole = str(tmp_path / "sharded"), str(tmp_path / "whole")
+    levels = ("none", "optimized")
+    for k in (1, 2, 3):
+        run = run_campaign("loopback", levels=levels, seed=7, count=4,
+                           store_root=sharded,
+                           shard=ShardSpec.parse(f"{k}/3"))
+    unsharded = run_campaign("loopback", levels=levels, seed=7, count=4,
+                             store_root=whole)
+    merged = merge_runs(sharded, run.run_id)
+    solo = merge_runs(whole, unsharded.run_id)
+    assert len(merged.sources) == 3
+    assert len(merged.records) == 4 * len(levels)
+    assert merged.run.results_path.read_bytes() == \
+        solo.run.results_path.read_bytes()
+    assert merged.matrix_path is not None
+    assert merged.matrix_path.read_bytes() == solo.matrix_path.read_bytes()
 
 
 def test_campaign_cli_jobs_and_cache_flags(tmp_path, capsys):

@@ -12,6 +12,9 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
+from repro.errors import ReproError
 from repro.lab.chaos import (
     CRASH_EXIT,
     TORN_EXIT,
@@ -38,6 +41,17 @@ def test_spec_env_round_trip():
                      state_dir="/tmp/x")
     assert ChaosSpec.from_env(spec.to_env()) == spec
     assert active_chaos() is None or os.environ.get("REPRO_CHAOS")
+
+
+def test_malformed_spec_fails_loudly(monkeypatch):
+    """A spec that no longer parses (here a retired fault kind) must
+    raise, not silently disarm the run and let a chaos test pass
+    without injecting anything."""
+    for value in ('{"daemon_kill": 1.0}', "not json", "[1]"):
+        monkeypatch.setenv("REPRO_CHAOS", value)
+        with pytest.raises(ReproError) as exc:
+            active_chaos()
+        assert exc.value.code == "RPR-E005"
 
 
 def test_selection_is_deterministic_and_rate_gated():

@@ -455,3 +455,69 @@ def test_riders_join_during_drain_but_new_work_is_rejected(server):
     assert fresh.rejected
     assert fresh.terminal["code"] == "RPR-V004"
     assert leader.result(timeout=10).ok
+
+
+# ---- daemons sharing one cache directory ------------------------------------
+
+
+SYNTH = {"app": {"kind": "pipeline", "params": {"stages": 6}},
+         "level": "optimized"}
+
+
+def _spawn(tmp_path, name, cache="cache"):
+    srv = ReproServer(ServeConfig(
+        max_inflight=2, cache_root=str(tmp_path / cache),
+        store_root=str(tmp_path / "store"), drain_timeout=10.0))
+    thread = threading.Thread(target=srv.serve_forever, daemon=True,
+                              name=f"repro-serve-{name}")
+    thread.start()
+    return srv, thread
+
+
+def _stop(servers):
+    for srv, thread in servers:
+        srv.request_shutdown()
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+
+
+def test_daemons_sharing_a_cache_fill_each_key_once(tmp_path):
+    """Two peerless daemons over one cache directory, racing on the same
+    synth job, write exactly what one daemon alone writes: the cache's
+    fill leases (or a warm hit) make the second execution free."""
+    solo, solo_thread = _spawn(tmp_path, "solo", cache="solo-cache")
+    try:
+        alone = ServeClient(solo.address, client_id="alone").submit(
+            "synth", SYNTH, timeout=120)
+        assert alone.ok
+        alone_cache = solo.stats()["cache"]
+    finally:
+        _stop([(solo, solo_thread)])
+
+    servers = [_spawn(tmp_path, f"shared{i}") for i in range(2)]
+    try:
+        barrier = threading.Barrier(len(servers))
+        replies = [None] * len(servers)
+
+        def go(i, srv):
+            client = ServeClient(srv.address, client_id=f"c{i}")
+            barrier.wait()
+            replies[i] = client.submit("synth", SYNTH, timeout=120)
+
+        threads = [threading.Thread(target=go, args=(i, srv))
+                   for i, (srv, _) in enumerate(servers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert all(r is not None and r.ok for r in replies), replies
+
+        caches = [srv.stats()["cache"] for srv, _ in servers]
+        for key in ("stores", "proc_misses"):
+            assert sum(c[key] for c in caches) == alone_cache[key], \
+                (key, caches, alone_cache)
+        assert canonical_record(replies[0].record) == \
+            canonical_record(replies[1].record) == \
+            canonical_record(alone.record)
+    finally:
+        _stop(servers)
