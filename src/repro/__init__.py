@@ -2,7 +2,7 @@
 
 An open reproduction of Curreri, Stitt & George, "High-Level Synthesis
 Techniques for In-Circuit Assertion-Based Verification" (IPDPS 2010):
-a complete HLS flow for an Impulse-C-like C dialect (pycparser frontend,
+a complete HLS flow for an Impulse-C-like C dialect (in-tree frontend,
 list/modulo scheduling, FSM+datapath codegen, Verilog emission, cycle-
 accurate simulation), a Stratix-II EP2S180 resource/timing model, and the
 paper's contribution — synthesis of ``assert()`` statements into FPGA

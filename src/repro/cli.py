@@ -171,13 +171,9 @@ def cmd_replay(args) -> int:
     from repro.diagnostics import Diagnostic
     from repro.diagnostics.bundle import read_bundle, replay_bundle
     from repro.diagnostics.render import render_diagnostics
-    from repro.errors import ReproError
 
-    try:
-        bundle = read_bundle(args.bundle)
-        result = replay_bundle(bundle)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from None
+    bundle = read_bundle(args.bundle)
+    result = replay_bundle(bundle)
 
     if args.json:
         print(_json.dumps(
@@ -305,13 +301,9 @@ def _shard_arg(args):
     """--shard K/N -> ShardSpec (None when the flag is absent)."""
     if not getattr(args, "shard", None):
         return None
-    from repro.errors import ReproError
     from repro.lab.shard import ShardSpec
 
-    try:
-        return ShardSpec.parse(args.shard)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from None
+    return ShardSpec.parse(args.shard)
 
 
 def _retry_arg(args):
@@ -509,14 +501,10 @@ def cmd_difftest(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    from repro.errors import ReproError
     from repro.lab.shard import merge_runs
 
-    try:
-        result = merge_runs(args.store, args.run, out_dir=args.out,
-                            progress=sys.stderr)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from None
+    result = merge_runs(args.store, args.run, out_dir=args.out,
+                        progress=sys.stderr)
     counts = ", ".join(f"{k}={v}" for k, v in sorted(result.counters.items()))
     print(f"merged run: {result.base_id} ({result.kind})")
     print(f"sources: {', '.join(result.sources)}")
@@ -988,7 +976,9 @@ def main(argv: list[str] | None = None) -> int:
                         "simulation (sim, default) or cold-vs-warm/edit "
                         "incremental synthesis (synth)")
     p.add_argument("--quick", action="store_true",
-                   help="fewer timing repeats (same workloads)")
+                   help="fewer timing repeats for the sim suite (same "
+                        "workloads); the synth suite always times each "
+                        "leg best of 3")
     p.add_argument("--out", default=None, metavar="JSON",
                    help="write the bench document to this file")
     p.add_argument("--baseline", default=None, metavar="JSON",
@@ -999,7 +989,14 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    from repro.errors import ReproError
+
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # a toolchain error is one coded line, never a traceback
+        print(exc.diagnostic().one_line(), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,7 +3,7 @@
 The error-handling backbone of the toolchain:
 
 * :class:`Span` — file/line/col source coordinates threaded from the
-  preprocessor through pycparser into lowered IR;
+  preprocessor through the parser into lowered IR;
 * :class:`Diagnostic` — one structured finding (stable ``RPR-###`` code,
   severity, message, span, notes, fix hint), JSON round-trippable;
 * :class:`DiagnosticSink` — collects diagnostics so the frontend can

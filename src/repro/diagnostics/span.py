@@ -1,11 +1,11 @@
 """Source locations carried through the whole compile pipeline.
 
 A :class:`Span` is the file/line/column coordinate of a diagnostic,
-created in the preprocessor, preserved across pycparser's ``#line``-reset
-coordinates, and attached to lowered IR instructions — so an error
-surfaced by the scheduler or the RTL simulator can still point at the C
-line that caused it (the paper's Section 5.1 "where did it hang"
-methodology applied to the toolchain itself).
+created in the preprocessor or the parser from token positions, and
+attached to lowered IR instructions — so an error surfaced by the
+scheduler or the RTL simulator can still point at the C line that caused
+it (the paper's Section 5.1 "where did it hang" methodology applied to
+the toolchain itself).
 
 This module must stay import-free of the rest of :mod:`repro` —
 :mod:`repro.errors` imports it, and everything imports ``repro.errors``.
@@ -13,13 +13,9 @@ This module must stay import-free of the rest of :mod:`repro` —
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 __all__ = ["Span"]
-
-#: pycparser (and cpp-style) location prefixes: ``file:line[:col][:] msg``
-_LOCATION_RE = re.compile(r"^(?P<file>[^:\n]+):(?P<line>\d+)(?::(?P<col>\d+))?:?\s*(?P<rest>.*)$")
 
 
 @dataclass(frozen=True)
@@ -65,33 +61,3 @@ class Span:
             col=int(data.get("col", 0)),
             end_col=int(data.get("end_col", 0)),
         )
-
-    @classmethod
-    def from_coord(cls, coord) -> "Span | None":
-        """Build from a pycparser ``Coord`` (or anything with the same
-        ``file``/``line``/``column`` attributes)."""
-        if coord is None:
-            return None
-        return cls(
-            file=getattr(coord, "file", None) or "<source>",
-            line=getattr(coord, "line", 0) or 0,
-            col=getattr(coord, "column", 0) or 0,
-        )
-
-    @classmethod
-    def parse_prefix(cls, message: str) -> "tuple[Span | None, str]":
-        """Split a ``file:line[:col]: msg`` prefix off ``message``.
-
-        pycparser's ParseError stringifies its coordinate into the message
-        and discards the structured form; this recovers it. Returns
-        ``(span, remainder)``; ``(None, message)`` when no prefix matches.
-        """
-        m = _LOCATION_RE.match(message)
-        if m is None:
-            return None, message
-        span = cls(
-            file=m.group("file"),
-            line=int(m.group("line")),
-            col=int(m.group("col") or 0),
-        )
-        return span, m.group("rest")

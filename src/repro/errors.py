@@ -268,7 +268,7 @@ def error_classes() -> dict[str, type[ReproError]]:
 #: ``repro synth --help-codes`` and the README error-code section render it.
 CODE_PREFIXES: dict[str, str] = {
     "RPR-P": "preprocessor (directives, conditionals, includes)",
-    "RPR-S": "syntax / parse (pycparser rejection, duplicate definitions)",
+    "RPR-S": "syntax / parse (syntax errors, duplicate definitions)",
     "RPR-T": "C type system (unknown types, illegal widths)",
     "RPR-L": "AST-to-IR lowering (unsupported constructs)",
     "RPR-I": "IR verifier (malformed IR)",

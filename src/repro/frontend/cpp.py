@@ -7,7 +7,7 @@ Supports the directives the paper's flow relies on:
 * ``#include "co.h"`` (resolved against a virtual header set; the dialect
   header only provides intrinsics already known to the parser, so inclusion
   is recorded and the line dropped)
-* ``#pragma`` lines are passed through (pycparser parses them as Pragma
+* ``#pragma`` lines are passed through (the parser turns them into Pragma
   nodes; ``#pragma CO PIPELINE`` drives the pipeliner)
 
 The two paper-specific knobs are ordinary macros:
@@ -33,6 +33,8 @@ from repro.errors import PreprocessorError
 _DIRECTIVE_RE = re.compile(r"^\s*#\s*(\w+)\s*(.*?)\s*$")
 _IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 _DEFINED_RE = re.compile(r"\bdefined\s*(?:\(\s*(\w+)\s*\)|(\w+))")
+#: a line comment, or a block comment (group 1 set when it is closed)
+_COMMENT_RE = re.compile(r"//[^\n]*|/\*(?:.*?(\*/)|.*)", re.DOTALL)
 
 #: Headers the dialect knows about. Their contents are intrinsic to the
 #: parser, so "including" them contributes no tokens.
@@ -57,17 +59,16 @@ class PreprocessResult:
 
 
 def _expand(line: str, defines: dict[str, str]) -> str:
-    """Expand object-like macros in a line (single pass, then fixpoint)."""
-    for _ in range(16):  # bounded fixpoint; nested macros are shallow here
-        def repl(m: re.Match[str]) -> str:
-            name = m.group(0)
-            return defines.get(name, name) if defines.get(name, name) != name else name
+    """Expand object-like macros in a line (single pass, then fixpoint).
 
-        new = _IDENT_RE.sub(
-            lambda m: defines[m.group(0)] if m.group(0) in defines and defines[m.group(0)] != "" else m.group(0),
-            line,
-        )
-        _ = repl
+    A macro defined empty (``#define NDEBUG``) is a flag and expands to
+    nothing visible: its name is left in place.
+    """
+    if not any(defines.values()):
+        return line  # no macro has replacement text
+    for _ in range(16):  # bounded fixpoint; nested macros are shallow here
+        new = _IDENT_RE.sub(lambda m: defines.get(m.group(0)) or m.group(0),
+                            line)
         if new == line:
             return new
         line = new
@@ -100,36 +101,21 @@ def _eval_condition(expr: str, defines: dict[str, str], filename: str, lineno: i
 def strip_comments(source: str) -> str:
     """Remove ``//`` and ``/* */`` comments, preserving line numbering.
 
-    The dialect has no string literals, so no quoting-awareness is needed;
-    a comment delimiter inside a character constant is not supported.
+    A block comment becomes its newlines plus one space; an unterminated
+    one swallows the rest of the file but keeps its newlines, so
+    diagnostics still point at real lines. The dialect has no string
+    literals, so no quoting-awareness is needed; a comment delimiter
+    inside a character constant is not supported.
     """
-    out: list[str] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch == "/" and i + 1 < n and source[i + 1] == "*":
-            i += 2
-            closed = False
-            while i < n:
-                if i + 1 < n and source[i] == "*" and source[i + 1] == "/":
-                    i += 2
-                    closed = True
-                    break
-                if source[i] == "\n":
-                    out.append("\n")
-                i += 1
-            if closed:
-                out.append(" ")
-            # an unterminated comment swallows the rest of the file but
-            # keeps its newlines, so diagnostics still point at real lines
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_blank_comment, source)
+
+
+def _blank_comment(m: re.Match[str]) -> str:
+    text = m.group()
+    if text[1] == "/":
+        return ""
+    newlines = "\n" * text.count("\n")
+    return newlines + " " if m.group(1) else newlines
 
 
 def preprocess(

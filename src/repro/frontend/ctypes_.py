@@ -128,7 +128,7 @@ def common_type(a: CType, b: CType) -> CType:
 
 
 def all_dialect_typedef_names() -> list[str]:
-    """Every ``intN``/``uintN`` name, used to pre-register pycparser typedefs."""
+    """Every ``intN``/``uintN`` name: the parser lexes these as type names."""
     names = []
     for width in range(1, MAX_WIDTH + 1):
         names.append(f"int{width}")

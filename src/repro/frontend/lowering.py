@@ -1,4 +1,4 @@
-"""Lowering: pycparser AST → typed three-address IR.
+"""Lowering: C AST (:mod:`repro.frontend.parser`) → typed three-address IR.
 
 One :class:`~repro.ir.function.IRFunction` is produced per C function; a
 function whose parameters include ``co_stream`` values is a *process* in
@@ -29,22 +29,19 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from pycparser import c_ast, c_generator
-
 from repro.diagnostics.sink import DiagnosticSink
-from repro.diagnostics.span import Span
 from repro.errors import LoweringError, ReproError, ReproTypeError
 from repro.frontend import ctypes_
+from repro.frontend import parser as c_ast
 from repro.frontend.ctypes_ import CType, U1, common_type, lookup_type
 from repro.frontend.intrinsics import INTRINSICS
-from repro.frontend.parser import STREAM_TYPE_NAME, ParsedSource, coord_of, span_of
+from repro.frontend.parser import STREAM_TYPE_NAME, ParsedSource, expr_text, span_of
 from repro.ir.function import IRFunction, IRModule
 from repro.ir.instr import AssertionSite, BasicBlock, Branch, Instr, Jump, Return
 from repro.ir.ops import OpKind
 from repro.ir.values import Const, StreamParam, Temp, Value
 from repro.utils.bitops import truncate
 
-_CGEN = c_generator.CGenerator()
 #: distinct strict-mode units :func:`lower_source` keeps (a Figs 4/5
 #: sweep lowers about 140)
 _MEMO_UNITS = 512
@@ -101,7 +98,13 @@ class FunctionLowerer:
 
     def _err(self, node: c_ast.Node, msg: str, *, code: str,
              hint: str | None = None) -> LoweringError:
-        return LoweringError(msg, code=code, span=span_of(node), hint=hint)
+        return LoweringError(msg, code=code,
+                             span=span_of(node, self.parsed.filename),
+                             hint=hint)
+
+    def _coord(self, node: c_ast.Node) -> tuple[str, int]:
+        """(filename, line) of a node, the IR's ``coord`` attribute."""
+        return (self.parsed.filename or "?", node.line)
 
     def _type(self, name: str, node: c_ast.Node) -> CType:
         """:func:`lookup_type` attaching the node's span to type errors."""
@@ -109,14 +112,14 @@ class FunctionLowerer:
             return lookup_type(name)
         except ReproTypeError as exc:
             if exc.span is None:
-                exc.span = span_of(node)
+                exc.span = span_of(node, self.parsed.filename)
             raise
 
     def emit(self, instr: Instr, node: c_ast.Node | None = None) -> Instr:
         if self.cur is None:
             raise LoweringError("emit with no current block", code="RPR-L001")
         if node is not None:
-            instr.attrs.setdefault("coord", coord_of(node))
+            instr.attrs.setdefault("coord", self._coord(node))
         return self.cur.append(instr)
 
     def _seal(self, term) -> None:
@@ -144,7 +147,7 @@ class FunctionLowerer:
         for p in params:
             if isinstance(p, c_ast.Typename) or p.name is None:
                 continue  # (void)
-            tyname = _type_name_of(p)
+            tyname = _type_name_of(p, self)
             if tyname == STREAM_TYPE_NAME:
                 self.func.streams.append(StreamParam(p.name))
             else:
@@ -169,7 +172,7 @@ class FunctionLowerer:
         quals = set(node.quals or []) | set(getattr(node, "storage", []) or [])
         is_const = "const" in quals
         if isinstance(node.type, c_ast.ArrayDecl):
-            elem = self._type(_type_name_of(node), node)
+            elem = self._type(_type_name_of(node, self), node)
             dim = node.type.dim
             init_values: tuple[int, ...] | None = None
             if node.init is not None:
@@ -200,7 +203,7 @@ class FunctionLowerer:
                                 code="RPR-L006")
             self.func.arrays[node.name] = arr
         elif isinstance(node.type, c_ast.TypeDecl):
-            ty = self._type(_type_name_of(node), node)
+            ty = self._type(_type_name_of(node, self), node)
             temp = self.func.declare_scalar(node.name, ty)
             if node.init is not None:
                 value = self.expr(node.init)
@@ -470,13 +473,13 @@ class FunctionLowerer:
                         code="RPR-L021")
 
     def _lower_assert(self, node: c_ast.FuncCall, cond_ast: c_ast.Node) -> None:
-        fname, line = coord_of(node)
+        fname, line = self._coord(node)
         site = AssertionSite(
             ordinal=self._assert_ordinal,
             file=fname,
             line=line,
             function=self.func.name,
-            expr_text=_CGEN.visit(cond_ast),
+            expr_text=expr_text(cond_ast),
         )
         self._assert_ordinal += 1
         self.func.assertion_sites.append(site)
@@ -496,7 +499,7 @@ class FunctionLowerer:
             marker = make_marker("start", region_id, None, None)
         else:
             bound = _const_int(args[1], self)
-            fname, line = coord_of(node)
+            fname, line = self._coord(node)
             site = AssertionSite(
                 ordinal=-1,
                 file=fname,
@@ -616,7 +619,7 @@ class FunctionLowerer:
             return dest
         if node.op == "sizeof":
             if isinstance(value_ast, c_ast.Typename):
-                ty = self._type(_type_name_of(value_ast), node)
+                ty = self._type(_type_name_of(value_ast, self), node)
             else:
                 ty = self.expr(value_ast).ty
             return Const((ty.width + 7) // 8, ctypes_.U32)
@@ -627,23 +630,20 @@ class FunctionLowerer:
 # ---- small AST helpers -----------------------------------------------------
 
 
-def _type_name_of(node) -> str:
+def _type_name_of(node, ctx: FunctionLowerer) -> str:
     ty = node.type
     while isinstance(ty, (c_ast.ArrayDecl, c_ast.PtrDecl)):
         ty = ty.type
     if isinstance(ty, c_ast.TypeDecl) and isinstance(ty.type, c_ast.IdentifierType):
         return " ".join(ty.type.names)
-    raise LoweringError(
-        f"unsupported type for {getattr(node, 'name', '?')!r}",
-        code="RPR-L029",
-        span=Span.from_coord(getattr(node, "coord", None)),
-    )
+    raise ctx._err(node, f"unsupported type for {getattr(node, 'name', '?')!r}",
+                   code="RPR-L029")
 
 
 def _cast_type_name(node: c_ast.Cast, ctx: FunctionLowerer) -> str:
     tn = node.to_type
     if isinstance(tn, c_ast.Typename):
-        return _type_name_of(tn)
+        return _type_name_of(tn, ctx)
     raise ctx._err(node, "unsupported cast", code="RPR-L030")
 
 
@@ -658,7 +658,9 @@ def _lower_constant(node: c_ast.Constant, ctx: FunctionLowerer) -> Const:
     if node.type in ("int", "long int", "long long int", "unsigned int",
                      "unsigned long int", "unsigned long long int"):
         text = node.value.rstrip("uUlL")
-        value = int(text, 0)
+        # C spells octal with a bare leading zero, Python with 0o
+        octal = len(text) > 1 and text[0] == "0" and text[1].isdigit()
+        value = int(text, 8 if octal else 0)
         unsigned = "u" in node.value.lower()
         if value <= 0x7FFFFFFF and not unsigned:
             ty = ctypes_.I32
@@ -670,9 +672,14 @@ def _lower_constant(node: c_ast.Constant, ctx: FunctionLowerer) -> Const:
             ty = ctypes_.U64
         return Const(value, ty)
     if node.type == "char":
-        text = node.value[1:-1]
-        value = ord(text.encode().decode("unicode_escape"))
-        return Const(value, ctypes_.I8)
+        body = node.value[1:-1]
+        text = ""  # an escape C does not define has no value
+        if body[0] != "\\" or body[1] in "abfnrtv\\'\"01234567x":
+            text = body.encode().decode("unicode_escape")
+        if len(text) != 1:
+            raise ctx._err(node, f"unsupported character constant {node.value}",
+                           code="RPR-L032")
+        return Const(ord(text), ctypes_.I8)
     raise ctx._err(node, f"unsupported constant type {node.type!r}",
                    code="RPR-L032")
 
@@ -795,13 +802,13 @@ def _lower(
 
 def _skip_assert(self: FunctionLowerer, node: c_ast.FuncCall, cond_ast) -> None:
     """NDEBUG replacement for assert lowering: record the site, emit nothing."""
-    fname, line = coord_of(node)
+    fname, line = self._coord(node)
     site = AssertionSite(
         ordinal=self._assert_ordinal,
         file=fname,
         line=line,
         function=self.func.name,
-        expr_text=_CGEN.visit(cond_ast),
+        expr_text=expr_text(cond_ast),
     )
     self._assert_ordinal += 1
     self.func.assertion_sites.append(site)

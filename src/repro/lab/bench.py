@@ -105,10 +105,15 @@ def _report_signature(image) -> tuple:
     )
 
 
-def _bench_synth_app(stages: int, repeats: int) -> list[dict]:
+#: every leg is timed best of this many runs: the legs take only a few
+#: milliseconds, so one slow read would otherwise decide a speedup
+REPEATS = 3
+
+
+def _bench_synth_app(stages: int) -> list[dict]:
     """Bench one pipeline app through the incremental seam.
 
-    Three legs, each best-of-``repeats`` under a fresh cache root:
+    Four legs, each best of :data:`REPEATS` under a fresh cache root:
 
     * **cold** — empty cache, every process synthesized (the
       denominator: what a non-incremental toolchain pays every time);
@@ -174,7 +179,7 @@ def _bench_synth_app(stages: int, repeats: int) -> list[dict]:
     base_app = build_pipeline(stages)
     edit_app = build_pipeline(stages, deltas=edited)
     cold_s = warm_s = edit_s = rebuild_s = math.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         with tempfile.TemporaryDirectory() as root:
             cache = SynthesisCache(root)
             t0 = time.perf_counter()
@@ -226,16 +231,15 @@ def run_synth_bench(quick: bool = False) -> dict:
     :func:`repro.simc.bench.run_bench` (``schema``/``quick``/``entries``/
     ``geomean_speedup``) so ``compare_bench`` and the committed-baseline
     CI gate apply unchanged; entries are keyed ``(name, kind)`` with
-    kinds ``synth_warm``, ``synth_edit`` and ``synth_rebuild``. Quick
-    mode trades timing stability (fewer repeats), not workload size,
-    keeping the speedup ratios comparable to a full-mode baseline.
+    kinds ``synth_warm``, ``synth_edit`` and ``synth_rebuild``. Both
+    modes time the same legs the same number of times; ``quick`` only
+    labels the document.
     """
     from repro.simc.bench import BENCH_SCHEMA
 
-    repeats = 1 if quick else 3
     entries = []
     for stages in (4, 8):
-        entries.extend(_bench_synth_app(stages, repeats))
+        entries.extend(_bench_synth_app(stages))
     speedups = [e["speedup"] for e in entries]
     geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
     return {

@@ -1,6 +1,8 @@
 """Unit tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,3 +71,34 @@ def test_simulate_reports_assertion_failure(cfile, capsys):
 def test_ablation_flags_accepted(cfile, capsys):
     assert main(["report", cfile, "--no-share", "--no-replicate"]) == 0
     assert main(["report", cfile, "--multichecker"]) == 0
+
+
+def _repro(*argv, env_extra=None):
+    """``python -m repro <argv>`` in a fresh interpreter."""
+    src_root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.path.abspath(src_root)
+    env.update(env_extra or {})
+    return subprocess.run([sys.executable, "-m", "repro", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_bad_source_exits_with_one_coded_line(tmp_path):
+    bad = tmp_path / "bad.c"
+    bad.write_text("void p(co_stream a) { uint32 x = ; }\n")
+    proc = _repro("compile", str(bad), "-o", str(tmp_path / "out"))
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "bad.c:1:34: error[RPR-S001]: expected an expression before ';'"]
+
+
+def test_malformed_chaos_spec_exits_with_one_coded_line(tmp_path):
+    proc = _repro("sweep", "--apps", "loopback:2",
+                  "--store", str(tmp_path / "runs"),
+                  "--cache", str(tmp_path / "cache"),
+                  env_extra={"REPRO_CHAOS": "{not json"})
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    [line] = [ln for ln in proc.stderr.splitlines() if "error[" in ln]
+    assert line.startswith("error[RPR-E005]: malformed $REPRO_CHAOS")

@@ -89,3 +89,17 @@ def test_simulate_still_fills_a_configured_lab_cache(cfile, tmp_path):
                       env_extra={"REPRO_LAB_CACHE": str(cache)})
     assert "repro.lab.bench" in loaded
     assert list(cache.glob("objects/simc-*.pkl"))
+
+
+def test_the_flow_has_no_parser_dependency():
+    # the frontend parses the dialect in-tree: lowering Triple-DES (the
+    # largest app) must not load pycparser, even where it is installed
+    modules = _modules(
+        "import json, sys\n"
+        "from repro.apps.tripledes import tdes_source\n"
+        "from repro.frontend.lowering import lower_source\n"
+        "module = lower_source(tdes_source(1, 2, 3), filename='tdes.c')\n"
+        "assert module.functions\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    assert "repro.frontend.parser" in modules
+    assert _under(modules, "pycparser") == []

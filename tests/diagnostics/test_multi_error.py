@@ -49,8 +49,8 @@ def test_render_shows_carets_and_codes():
 
 
 def test_hard_parse_error_still_reported_once():
-    # an unrecoverable pycparser rejection can't co-report with lowering
-    # errors (the AST is gone) but must surface as one coded diagnostic
+    # the parser drops a function with a syntax error, so lowering adds
+    # no follow-on errors for it: one coded diagnostic remains
     res = check_source("void p(co_stream a) { uint32 x = ; }",
                        filename="broken.c")
     errors = [d for d in res.diagnostics if d.is_error]

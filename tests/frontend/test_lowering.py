@@ -80,6 +80,17 @@ def test_hex_constant():
     assert run_expr("0xFF00 >> 8") == 0xFF
 
 
+def test_octal_constant():
+    assert run_expr("017 + 00") == 15
+
+
+def test_unknown_char_escape_rejected():
+    with pytest.raises(LoweringError) as exc:
+        lower_one("void f(co_stream output) { co_stream_write(output, '\\q'); }")
+    assert exc.value.code == "RPR-L032"
+    assert exc.value.span.line == 1
+
+
 def test_compound_assignment_ops():
     src = """
 void f(co_stream output) {

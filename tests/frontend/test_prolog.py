@@ -1,45 +1,27 @@
-"""The trimmed parser prolog parses exactly like the full one.
+"""The parser needs no typedef prolog: it knows the dialect's type names.
 
-``parse_source`` declares only the dialect typedefs a source mentions.
-Every source here is parsed twice — once as shipped, once behind the
-full prolog of all 128 ``intN``/``uintN`` names plus ``co_stream`` — and
-the function definitions (printed C plus every node coordinate) and the
-diagnostics must be identical.
+pycparser only parsed dialect C behind a prolog of ``typedef``s for the
+``intN``/``uintN`` and ``co_stream`` names. The in-tree parser treats
+exactly those 129 names as type names itself, so a source must parse the
+same with and without that prolog in front: the same functions, every
+node at the same column and (shifted by the prolog's lines) the same
+line, and the same diagnostics.
 """
 
-import ast
-import pathlib
-
 import pytest
-from pycparser import c_generator
 
 from repro.apps import edge_detect, loopback, pipeline, tripledes, verification
 from repro.diagnostics.sink import DiagnosticSink
 from repro.difftest.generator import generate
 from repro.frontend import ctypes_, parser
 from repro.frontend.parser import parse_source
-
-EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
+from tests.helpers import example_sources
 
 FULL_PROLOG = "\n".join(
     [f"typedef unsigned int {name};"
      for name in ctypes_.all_dialect_typedef_names()]
     + ["typedef int co_stream;"])
-
-_CGEN = c_generator.CGenerator()
-
-
-def _example_sources() -> dict[str, str]:
-    """Module-level dialect C string constants of ``examples/*.py``."""
-    found = {}
-    for path in sorted(EXAMPLES.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, str)
-                    and "co_stream" in node.value.value):
-                found[f"{path.stem}.{node.targets[0].id}"] = node.value.value
-    return found
+PROLOG_LINES = len(FULL_PROLOG.splitlines())
 
 
 def _sources() -> dict[str, str]:
@@ -72,7 +54,7 @@ int sum(int a, int b) {
 }
 """,
     }
-    sources.update(_example_sources())
+    sources.update(example_sources())
     for seed in range(50):
         sources[f"difftest{seed}"] = generate(seed).render()
     return sources
@@ -81,52 +63,62 @@ int sum(int a, int b) {
 SOURCES = _sources()
 
 
-def _signature(parsed) -> list:
-    """Printed C and every node coordinate of each function definition."""
-    def coords(node, out):
-        out.append((type(node).__name__, str(node.coord)))
-        for _name, child in node.children():
-            coords(child, out)
-        return out
+def _dump(node, shift: int):
+    """Kind, line (minus ``shift``), column and fields of every node."""
+    if isinstance(node, list):
+        return [_dump(item, shift) for item in node]
+    if not isinstance(node, parser.Node):
+        return node
+    line = node.line - shift if node.line else 0
+    return (type(node).__name__, line, node.col,
+            *[(name, _dump(getattr(node, name), shift))
+              for name in node._fields])
 
-    return [(name, _CGEN.visit(fd), coords(fd, []))
-            for name, fd in parsed.functions.items()]
+
+def _parse_both(source, filename, defines=None):
+    """(shipped, its diagnostics, behind the prolog, its diagnostics), the
+    prolog's line shift already taken out of the second pair."""
+    bare_sink = DiagnosticSink(strict=False)
+    bare = parse_source(source, filename=filename, defines=defines,
+                        sink=bare_sink)
+    full_sink = DiagnosticSink(strict=False)
+    full = parse_source(f"{FULL_PROLOG}\n{source}", filename=filename,
+                        defines=defines, sink=full_sink)
+    diags = full_sink.to_dicts()
+    for diag in diags:
+        diag["span"]["line"] -= PROLOG_LINES
+    return bare, bare_sink.to_dicts(), full, diags
 
 
-def _parse_both(monkeypatch, source, filename, defines=None):
-    trimmed_sink = DiagnosticSink(strict=False)
-    trimmed = parse_source(source, filename=filename, defines=defines,
-                           sink=trimmed_sink)
-    with monkeypatch.context() as m:
-        m.setattr(parser, "_build_prolog", lambda text: FULL_PROLOG)
-        full_sink = DiagnosticSink(strict=False)
-        full = parse_source(source, filename=filename, defines=defines,
-                            sink=full_sink)
-    return trimmed, trimmed_sink, full, full_sink
+def _signature(parsed, shift: int = 0) -> list:
+    return [(name, _dump(fd, shift)) for name, fd in parsed.functions.items()]
 
 
 def test_full_prolog_declares_all_129_names():
-    assert len(FULL_PROLOG.splitlines()) == 129
+    assert PROLOG_LINES == 129
+    declared = {line.split()[-1].rstrip(";")
+                for line in FULL_PROLOG.splitlines()}
+    assert declared == parser._TYPE_NAMES
 
 
 def test_covers_the_example_sources():
-    assert len(_example_sources()) >= 2
+    assert len(example_sources()) >= 2
+    assert set(example_sources()) <= set(SOURCES)
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
-def test_trimmed_prolog_parses_like_the_full_one(monkeypatch, name):
-    trimmed, tsink, full, fsink = _parse_both(
-        monkeypatch, SOURCES[name], f"{name}.c")
-    assert trimmed.functions, name
-    assert _signature(trimmed) == _signature(full)
-    assert tsink.to_dicts() == fsink.to_dicts()
+def test_trimmed_prolog_parses_like_the_full_one(name):
+    bare, bare_diags, full, full_diags = _parse_both(SOURCES[name],
+                                                     f"{name}.c")
+    assert bare.functions, name
+    assert _signature(bare) == _signature(full, PROLOG_LINES)
+    assert bare_diags == full_diags
 
 
 @pytest.mark.parametrize("defines", [{"NDEBUG": ""}, {"NABORT": ""}])
-def test_trimmed_prolog_under_defines(monkeypatch, defines):
-    trimmed, _, full, _ = _parse_both(
-        monkeypatch, SOURCES["tdes"], "tdes.c", defines)
-    assert _signature(trimmed) == _signature(full)
+def test_trimmed_prolog_under_defines(defines):
+    bare, _, full, _ = _parse_both(SOURCES["tdes"], "tdes.c", defines)
+    assert _signature(bare) == _signature(full, PROLOG_LINES)
 
 
 @pytest.mark.parametrize("source", [
@@ -138,15 +130,24 @@ def test_trimmed_prolog_under_defines(monkeypatch, defines):
     "void f(co_stream s) {\n  uint32 x;\n  x = 1uint7;\n}\n",
     "void f(co_stream s) {\n  int7 int7;\n  co_stream_close(s)\n}\n",
 ])
-def test_syntax_error_diagnostics_are_unchanged(monkeypatch, source):
-    trimmed, tsink, full, fsink = _parse_both(monkeypatch, source, "bad.c")
-    codes = [d["code"] for d in tsink.to_dicts()]
-    assert "RPR-S001" in codes
-    assert tsink.to_dicts() == fsink.to_dicts()
+def test_syntax_error_diagnostics_are_unchanged(source):
+    bare, bare_diags, full, full_diags = _parse_both(source, "bad.c")
+    assert [d["code"] for d in bare_diags] == ["RPR-S001"]
+    assert all(d["span"]["line"] >= 1 for d in bare_diags)
+    assert bare_diags == full_diags
+    assert bare.functions == full.functions == {}
 
 
 def test_prolog_names_only_what_the_source_uses():
-    prolog = parser._build_prolog("void f(co_stream s) { uint8 a; int a9; }")
-    assert prolog.splitlines() == ["typedef int co_stream;",
-                                   "typedef int uint8;"]
-    assert parser._build_prolog("int main(void) { return 0; }") == ""
+    # exactly the dialect names are types; look-alikes are identifiers,
+    # and a declaration may reuse a type name for a variable in its scope
+    assert {"uint1", "int64", "co_stream"} <= parser._TYPE_NAMES
+    assert not {"uint0", "int65", "a9", "x_int8"} & parser._TYPE_NAMES
+    src = ("void f(co_stream s) { uint8 a; int a9; int x_int8; int uint16;"
+           " uint16 = a + a9 + x_int8; co_stream_write(s, uint16); }")
+    body = parse_source(src).functions["f"].body.block_items
+    assert [type(item).__name__ for item in body] == [
+        "Decl", "Decl", "Decl", "Decl", "Assignment", "FuncCall"]
+    sink = DiagnosticSink(strict=False)
+    parse_source("void f(co_stream s) { uint0 a; }", sink=sink)
+    assert [d.code for d in sink] == ["RPR-S001"]

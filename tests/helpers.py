@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 from repro.frontend.lowering import lower_source
 from repro.hls.compiler import CompiledProcess, compile_process
 from repro.hls.constraints import HLSConfig, ScheduleConfig
@@ -19,6 +22,31 @@ def lower_one(source: str, name: str | None = None,
     # a private copy: unit tests rewrite what they get, and lowered IR is
     # shared read-only
     return module[name].clone()
+
+
+def module_sources(path: pathlib.Path, root: pathlib.Path) -> dict[str, str]:
+    """Module-level string constants of ``path`` that hold dialect C, keyed
+    ``<path relative to root, no suffix>.<NAME>``."""
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)
+                and "co_stream" in node.value.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    rel = path.relative_to(root).with_suffix("")
+                    found[f"{rel}.{target.id}"] = node.value.value
+    return found
+
+
+def example_sources() -> dict[str, str]:
+    """The dialect C constants of ``examples/*.py``, keyed ``<stem>.<NAME>``."""
+    examples = pathlib.Path(__file__).resolve().parents[1] / "examples"
+    found = {}
+    for path in sorted(examples.glob("*.py")):
+        found.update(module_sources(path, examples))
+    return found
 
 
 def compile_one(source: str, name: str | None = None,

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.errors import ServeError
-from repro.serve.coalesce import Coalescer, Flight
+from repro.serve.coalesce import Coalescer
 
 
 def test_first_join_leads_second_follows():
