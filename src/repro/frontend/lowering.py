@@ -25,6 +25,7 @@ fields). How that pseudo-op becomes hardware is the subject of
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -654,6 +655,10 @@ def _array_name(node: c_ast.ArrayRef, ctx: FunctionLowerer) -> str:
                    code="RPR-L031")
 
 
+#: ``\x`` with any number of hex digits, or one to three octal digits
+_NUMERIC_ESCAPE = re.compile(r"\\(?:x([0-9a-fA-F]+)|([0-7]{1,3}))")
+
+
 def _lower_constant(node: c_ast.Constant, ctx: FunctionLowerer) -> Const:
     if node.type in ("int", "long int", "long long int", "unsigned int",
                      "unsigned long int", "unsigned long long int"):
@@ -662,6 +667,9 @@ def _lower_constant(node: c_ast.Constant, ctx: FunctionLowerer) -> Const:
         octal = len(text) > 1 and text[0] == "0" and text[1].isdigit()
         value = int(text, 8 if octal else 0)
         unsigned = "u" in node.value.lower()
+        if value > 0xFFFFFFFFFFFFFFFF:
+            raise ctx._err(node, f"integer constant {node.value} does not "
+                           "fit in 64 bits", code="RPR-L032")
         if value <= 0x7FFFFFFF and not unsigned:
             ty = ctypes_.I32
         elif value <= 0xFFFFFFFF and unsigned:
@@ -673,8 +681,17 @@ def _lower_constant(node: c_ast.Constant, ctx: FunctionLowerer) -> Const:
         return Const(value, ty)
     if node.type == "char":
         body = node.value[1:-1]
+        numeric = _NUMERIC_ESCAPE.fullmatch(body)
+        if numeric is not None:
+            hex_digits, oct_digits = numeric.groups()
+            value = (int(hex_digits, 16) if hex_digits is not None
+                     else int(oct_digits, 8))
+            if value > 0xFF:
+                raise ctx._err(node, f"character constant {node.value} does "
+                               "not fit in a char", code="RPR-L032")
+            return Const(value, ctypes_.I8)
         text = ""  # an escape C does not define has no value
-        if body[0] != "\\" or body[1] in "abfnrtv\\'\"01234567x":
+        if body[0] != "\\" or body[1] in "abfnrtv\\'\"":
             text = body.encode().decode("unicode_escape")
         if len(text) != 1:
             raise ctx._err(node, f"unsupported character constant {node.value}",

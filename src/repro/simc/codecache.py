@@ -29,7 +29,7 @@ __all__ = ["MemoStats", "cached_source", "compile_source", "clear_memo",
            "memo_stats"]
 
 #: bump to invalidate every cached generated source on a codegen change
-CODEGEN_SCHEMA = 2
+CODEGEN_SCHEMA = 3
 
 _SOURCE_MEMO: dict[str, str] = {}
 _CODE_MEMO: dict[tuple[str, str], object] = {}

@@ -65,6 +65,12 @@ class _Emitter:
         self.lines.append("    " * self.indent + line)
 
 
+def _table_src(table: dict[str, list[str]]) -> str:
+    """A dict literal mapping each block to the tuple of its step names."""
+    rows = (f"{name!r}: ({', '.join(fns)},)" for name, fns in table.items())
+    return f"{{{', '.join(rows)}}}"
+
+
 def _sext_src(var: str, width: int) -> str:
     """Branchless sign extension of an already-masked ``width``-bit value."""
     if width <= 0:
@@ -112,6 +118,9 @@ class _SchedCompiler:
         #: ``_pending_env`` — the interpreter's ``_read``/``_write``
         #: overlay discipline, resolved at compile time
         self.ov: str | None = None
+        #: sequential block -> per step, its function's name when the step
+        #: is quiet, else "None": the quiet table ``_build`` returns
+        self.quiet: dict[str, list[str]] = {}
 
     # ---- operands -------------------------------------------------------------
 
@@ -530,12 +539,45 @@ class _SchedCompiler:
 
     # ---- step functions ---------------------------------------------------------
 
+    def _is_quiet(self, block_name: str, step: int) -> bool:
+        """A quiet step touches no channel and does not return."""
+        bs = self.fsched.blocks[block_name]
+        block = self.func.blocks[block_name]
+        if step + 1 >= bs.length and isinstance(block.term, Return):
+            return False
+        indices = bs.steps[step] if step < len(bs.steps) else ()
+        return not any(block.instrs[i].op in _LOUD for i in indices)
+
+    def _enter(self, em: _Emitter, target: str, quiet: bool,
+               step: int | None = None) -> None:
+        """:meth:`ProcessExec._enter_block`, inlined for a sequential
+        target; a quiet step then returns the target's first quiet step.
+        ``step`` is the index the interpreter leaves behind before it
+        enters a pipelined block (None when leaving a pipeline)."""
+        nxt = "None"
+        if target in self.fsched.pipelines:
+            if step is not None:
+                em.put(f"P.step = {step}")
+            em.put(f"P._enter_block({target!r})")
+        else:
+            if step is None:
+                em.put("P.mode = 'seq'")
+            em.put(f"P.block = {target!r}")
+            em.put("P.step = 0")
+            nxt = self.quiet.get(target, ("None",))[0]
+        if quiet:
+            em.put(f"return {nxt}")
+
     def step_fn(self, em: _Emitter, fid: int, block_name: str,
                 step: int) -> str:
+        """One ``(block, step)`` function. A loud one returns its tick
+        status; a quiet one returns the next quiet step function, or None
+        when the next step is loud, pipelined or interpreted."""
         bs = self.fsched.blocks[block_name]
         block = self.func.blocks[block_name]
         indices = bs.steps[step] if step < len(bs.steps) else []
         instrs = [block.instrs[i] for i in indices]
+        quiet = self.quiet[block_name][step] != "None"
         fname = f"_f{fid}"
         em.put(f"def {fname}():")
         em.indent += 1
@@ -544,33 +586,37 @@ class _SchedCompiler:
             self.ready_check(em, instr)
         for instr in instrs:
             self.exec_instr(em, instr)
-        em.put(f"P.step = {step + 1}")
-        if step + 1 >= bs.length:
-            term = block.term
-            if isinstance(term, Jump):
-                em.put(f"P._enter_block({term.target!r})")
-            elif isinstance(term, Branch):
-                c = self.opnd(term.cond)
-                if c.lit is not None:
-                    target = term.iftrue if c.lit != 0 else term.iffalse
-                    em.put(f"P._enter_block({target!r})")
-                else:
-                    em.put(f"if {c.src}:")
-                    em.indent += 1
-                    em.put(f"P._enter_block({term.iftrue!r})")
-                    em.indent -= 1
-                    em.put("else:")
-                    em.indent += 1
-                    em.put(f"P._enter_block({term.iffalse!r})")
-                    em.indent -= 1
-            elif isinstance(term, Return):
-                em.put("P.done = True")
-                em.put("return 'done'")
+        term = block.term
+        if step + 1 < bs.length:
+            em.put(f"P.step = {step + 1}")
+            if quiet:
+                em.put(f"return {self.quiet[block_name][step + 1]}")
+        elif isinstance(term, Jump):
+            self._enter(em, term.target, quiet, step + 1)
+        elif isinstance(term, Branch):
+            c = self.opnd(term.cond)
+            if c.lit is not None:
+                target = term.iftrue if c.lit != 0 else term.iffalse
+                self._enter(em, target, quiet, step + 1)
             else:
-                raise SimCompileError(
-                    f"{self.name}: unsupported terminator "
-                    f"{type(term).__name__}", code="RPR-K020")
-        em.put("return 'active'")
+                em.put(f"if {c.src}:")
+                em.indent += 1
+                self._enter(em, term.iftrue, quiet, step + 1)
+                em.indent -= 1
+                em.put("else:")
+                em.indent += 1
+                self._enter(em, term.iffalse, quiet, step + 1)
+                em.indent -= 1
+        elif isinstance(term, Return):
+            em.put(f"P.step = {step + 1}")
+            em.put("P.done = True")
+            em.put("return 'done'")
+        else:
+            raise SimCompileError(
+                f"{self.name}: unsupported terminator "
+                f"{type(term).__name__}", code="RPR-K020")
+        if not quiet:
+            em.put("return 'active'")
         em.indent -= 1
         em.put("")
         return fname
@@ -729,7 +775,7 @@ class _SchedCompiler:
         em.indent -= 1
         em.put("if P._draining and not P._inflight:")
         em.indent += 1
-        em.put(f"P._enter_block({ps.exit_block!r})")
+        self._enter(em, ps.exit_block, quiet=False)
         em.indent -= 1
         em.put("return 'active'")
         em.indent -= 1
@@ -743,20 +789,26 @@ class _SchedCompiler:
         body.indent = 1
         table: dict[str, list[str]] = {}
         pipe_table: dict[str, str] = {}
+        # number every function first: a quiet step names its successor
+        first: dict[str, int] = {}
         fid = 0
         for block_name in self.func.blocks:
+            first[block_name] = fid
             if block_name in self.fsched.pipelines:
-                pipe_table[block_name] = self.pipe_fn(body, fid, block_name)
                 fid += 1
-                continue
-            bs = self.fsched.blocks.get(block_name)
-            if bs is None:
-                continue
-            fns = []
-            for step in range(bs.length):
-                fns.append(self.step_fn(body, fid, block_name, step))
-                fid += 1
-            table[block_name] = fns
+            elif block_name in self.fsched.blocks:
+                n = self.fsched.blocks[block_name].length
+                self.quiet[block_name] = [
+                    f"_f{fid + s}" if self._is_quiet(block_name, s) else "None"
+                    for s in range(n)]
+                fid += n
+        for block_name, f0 in first.items():
+            if block_name in self.fsched.pipelines:
+                pipe_table[block_name] = self.pipe_fn(body, f0, block_name)
+            elif block_name in self.quiet:
+                table[block_name] = [
+                    self.step_fn(body, f0 + s, block_name, s)
+                    for s in range(len(self.quiet[block_name]))]
 
         em = _Emitter()
         em.put(f"# compiled cycle model of process {self.name!r} "
@@ -783,52 +835,39 @@ class _SchedCompiler:
             em.put(f"{local} = pe.memories[{name!r}]")
         em.put("")
         em.lines.extend(body.lines)
-        rows = []
-        for block_name, fns in table.items():
-            rows.append(f"{block_name!r}: ({', '.join(fns)}"
-                        f"{',' if len(fns) == 1 else ''})")
         prows = [f"{name!r}: {fn}" for name, fn in pipe_table.items()]
-        em.put(f"return {{{', '.join(rows)}}}, {{{', '.join(prows)}}}")
+        em.put(f"return ({_table_src(table)}, {{{', '.join(prows)}}},")
+        em.put(f"        {_table_src(self.quiet)})")
         em.indent -= 1
         return "\n".join(em.lines) + "\n"
 
 
+#: instruction attrs the codegen reads that ``Instr.__str__`` does not print
+_UNPRINTED = ("pred", "channel", "force_compare_width")
+
+
+def _unprinted(instrs: list[Instr]) -> list[str]:
+    return [f"{i} {k}={instr.attrs[k]}" for i, instr in enumerate(instrs)
+            for k in _UNPRINTED if k in instr.attrs]
+
+
 def _schedule_digest(fsched: FunctionSchedule) -> str:
-    """Deterministic textual identity of everything the codegen consumes."""
+    """Deterministic textual identity of everything the codegen consumes:
+    the printed function (streams, arrays, typed operands, terminators),
+    the instruction attrs its printer leaves out, and the schedule."""
     func = fsched.func
-    parts = [func.name, func.entry]
-    parts.append(repr(sorted(
-        (n, t.width, t.signed) for n, t in func.scalars.items())))
-    parts.append(repr(sorted(
-        (n, a.size, a.elem.width, a.elem.signed, tuple(a.init or ()))
-        for n, a in func.arrays.items())))
-    for bname in sorted(func.blocks):
-        block = func.blocks[bname]
-        parts.append(f"== {bname}")
-        parts.append(str(block.term))
-        for instr in block.instrs:
-            parts.append(repr(instr.op.value))
-            parts.append(repr(instr.dests))
-            parts.append(repr(instr.args))
-            parts.append(repr(sorted(
-                (k, repr(v)) for k, v in instr.attrs.items())))
+    parts = [str(func), func.entry]
+    for bname, block in func.blocks.items():
         bs = fsched.blocks.get(bname)
-        if bs is None:
-            parts.append("pipelined")
-        else:
-            parts.append(repr((bs.length, bs.steps)))
-        ps = fsched.pipelines.get(bname)
-        if ps is not None:
-            parts.append(repr((ps.header, ps.exit_block,
-                               ps.ok.name if ps.ok is not None else None,
-                               ps.ii, ps.latency,
-                               tuple(ps.instr_step.items()))))
-            for instr in ps.instrs:
-                parts.append(repr(instr.op.value))
-                parts.append(repr(instr.dests))
-                parts.append(repr(instr.args))
-                parts.append(repr(sorted(
-                    (k, repr(v)) for k, v in instr.attrs.items())))
+        parts.append(f"== {bname} {bs.length}: {bs.steps}" if bs is not None
+                     else f"== {bname} pipelined")
+        parts += _unprinted(block.instrs)
+    for bname, ps in fsched.pipelines.items():
+        parts.append(repr((bname, ps.header, ps.exit_block,
+                           ps.ok.name if ps.ok is not None else None,
+                           ps.ii, ps.latency, list(ps.instr_step.items()))))
+        parts += map(str, ps.instrs)
+        parts += _unprinted(ps.instrs)
     return "\n".join(parts)
 
 
@@ -874,28 +913,14 @@ class CompiledProcessExec(ProcessExec):
         ns = {"__builtins__": {}, "_IDENT": _identity, "_len": len}
         exec(code, ns)
         try:
-            self._seq_fns, self._pipe_fns = ns["_build"](self)
+            self._seq_fns, self._pipe_fns, self._quiet_fns = \
+                ns["_build"](self)
         except KeyError as exc:
             # an unbound tap channel the interpreter would only touch on
             # first use; fall back so the lazier behaviour is preserved
             raise SimCompileError(
                 f"{self.name}: cannot bind channel {exc} during "
                 "specialization", code="RPR-K021") from exc
-        # ``_seq_fns`` with None for every step that touches a channel or
-        # returns: what :meth:`run_quiet` may chain without the system loop
-        self._quiet_fns = {
-            name: tuple(None if self._loud(name, step) else fn
-                        for step, fn in enumerate(fns))
-            for name, fns in self._seq_fns.items()
-        }
-
-    def _loud(self, name: str, step: int) -> bool:
-        bs = self.fsched.blocks[name]
-        block = self.func.blocks[name]
-        if step + 1 >= bs.length and isinstance(block.term, Return):
-            return True
-        indices = bs.steps[step] if step < len(bs.steps) else ()
-        return any(block.instrs[i].op in _LOUD for i in indices)
 
     # Subclassing ProcessExec is what makes the hybrid work: a block the
     # codegen skipped ticks through the inherited interpreter on the same
@@ -922,8 +947,12 @@ class CompiledProcessExec(ProcessExec):
         self.cycles += 1
         if self.mode == "seq":
             fns = self._seq_fns.get(self.block)
-            status = (fns[self.step]() if fns is not None
-                      else self._tick_seq())
+            if fns is None:
+                status = self._tick_seq()
+            else:
+                status = fns[self.step]()
+                if status.__class__ is not str:
+                    return "active"  # a quiet step returned its successor
         else:
             fn = self._pipe_fns.get(self.block)
             status = fn() if fn is not None else self._tick_pipe()
@@ -932,21 +961,19 @@ class CompiledProcessExec(ProcessExec):
         return status
 
     def run_quiet(self, limit: int) -> int:
-        """Tick through up to ``limit`` consecutive channel-free steps, one
-        cycle each, and return how many ran. Each such tick returns
-        'active' and touches nothing outside this process, so the caller
-        can account the rest of the system for those cycles in bulk. A
-        pipelined or interpreted block has no entry and ends the run."""
-        quiet = self._quiet_fns
+        """Tick through up to ``limit`` consecutive quiet (channel-free,
+        non-returning) steps, one cycle each, and return how many ran.
+        Each such tick returns 'active' and touches nothing outside this
+        process, so the caller can account the rest of the system for
+        those cycles in bulk. Every quiet step function returns the next
+        one, resolved at codegen time across jumps and branches, so a
+        stretch costs one call per cycle; a step whose successor is loud,
+        pipelined or interpreted returns None, which ends the stretch."""
+        fns = self._quiet_fns.get(self.block)
+        fn = None if fns is None else fns[self.step]
         n = 0
-        while n < limit:
-            fns = quiet.get(self.block)
-            if fns is None:
-                break
-            fn = fns[self.step]
-            if fn is None:
-                break
-            fn()
+        while fn is not None and n < limit:
+            fn = fn()
             n += 1
         self.cycles += n
         return n

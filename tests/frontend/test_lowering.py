@@ -74,6 +74,7 @@ def test_cast_sign_extends():
 
 def test_char_constant():
     assert run_expr("'A'") == 65
+    assert run_expr("'\\x1' + '\\101'") == 66
 
 
 def test_hex_constant():
@@ -89,6 +90,16 @@ def test_unknown_char_escape_rejected():
         lower_one("void f(co_stream output) { co_stream_write(output, '\\q'); }")
     assert exc.value.code == "RPR-L032"
     assert exc.value.span.line == 1
+
+
+@pytest.mark.parametrize("const", ["0x1FFFFFFFFFFFFFFFF", "'\\777'"])
+def test_constant_too_wide_rejected(const):
+    """A constant its type cannot hold is an error, not a truncation."""
+    with pytest.raises(LoweringError) as exc:
+        lower_one("void f(co_stream output) {\n"
+                  f"  co_stream_write(output, {const});\n}}")
+    assert exc.value.code == "RPR-L032"
+    assert (exc.value.span.line, exc.value.span.col) == (2, 27)
 
 
 def test_compound_assignment_ops():

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.apps.loopback import build_loopback
+from repro.frontend.ctypes_ import U1
 from repro.hls.cyclemodel import Channel
+from repro.ir.values import Temp
 from repro.lab.cache import SynthesisCache
 from repro.simc import (
     CompiledProcessExec,
@@ -57,9 +59,8 @@ def test_memo_hit_never_touches_the_disk_cache(tmp_path, cp):
 
 
 def test_codegen_key_is_pinned(cp):
-    """The memo / lab-cache key of one schedule, recorded while a second
-    codegen kind still shared :func:`cached_source`: on-disk entries under
-    ``CODEGEN_SCHEMA`` 2 stay reachable only while these bytes hold (the
+    """The memo / lab-cache key of one schedule: on-disk entries under
+    ``CODEGEN_SCHEMA`` 3 stay reachable only while these bytes hold (the
     package version is part of the fingerprint, so a release re-records
     it)."""
     from repro import __version__
@@ -67,7 +68,44 @@ def test_codegen_key_is_pinned(cp):
 
     sched_exec_source(cp.schedule)
     assert __version__ == "1.0.0"
-    assert list(_SOURCE_MEMO) == ["simc-sched-59f16ac114eee085"]
+    assert list(_SOURCE_MEMO) == ["simc-sched-c4c06474960a8dc4"]
+
+
+def _first_instr(cp):
+    return next(iter(cp.schedule.func.instructions()))
+
+
+def _flip_pred(cp):
+    _first_instr(cp).attrs["pred"] = Temp("flipped", U1)
+
+
+def _flip_channel(cp):
+    _first_instr(cp).attrs["channel"] = "elsewhere"
+
+
+def _flip_force(cp):
+    _first_instr(cp).attrs["force_compare_width"] = 3
+
+
+def _flip_step(cp):
+    bs = next(bs for bs in cp.schedule.blocks.values() if bs.steps[0])
+    bs.steps.append(bs.steps[0])
+    bs.steps[0] = []
+
+
+@pytest.mark.parametrize("flip", [_flip_pred, _flip_channel, _flip_force,
+                                  _flip_step])
+def test_codegen_key_covers_what_the_printer_leaves_out(flip):
+    """``Instr.__str__`` prints neither ``pred``, ``channel`` nor
+    ``force_compare_width``, and the function text holds no schedule: the
+    key must still change with each, or two designs share one source."""
+    from repro.simc.codecache import _SOURCE_MEMO
+
+    cp = compile_one(SRC)
+    sched_exec_source(cp.schedule)
+    flip(cp)
+    sched_exec_source(cp.schedule)
+    assert len(_SOURCE_MEMO) == 2
 
 
 def test_different_designs_generate_different_source(tmp_path):
@@ -187,17 +225,16 @@ def test_memo_safe_under_concurrent_codegen(tmp_path, cp):
 
 
 #: sha256 over the scalar generated source of every process of each app at
-#: the ``optimized`` level (processes in name order), recorded before the
-#: structure-of-arrays emitters were removed: scalar emission must stay
-#: byte-identical so on-disk codegen entries under ``CODEGEN_SCHEMA`` stay
-#: valid
+#: the ``optimized`` level (processes in name order), recorded with
+#: ``CODEGEN_SCHEMA`` 3 (chained quiet steps): emission must stay
+#: byte-identical so on-disk codegen entries under that schema stay valid
 SCALAR_SOURCE_DIGESTS = {
     "loopback:3":
-        "586cf0a660708ce71769be77f0e2df502c1545c1eede7c6c25fb230acdf2da9e",
+        "fbaba296199c51f89d8c85644c8d533c69069aa1f6d6436ff97a4c33c1770969",
     "edge":
-        "1f646c5ecf7ecb415879fc5cec2d16a70395eceb0df4ec76057b22e7fe9396e6",
+        "002699e60a56cbd9227028ab14ac819abfb487b567e5d086702dc1ce014fab7e",
     "tripledes":
-        "8ef12504dd5f4886edea521ea9ece798d2bab438218ec6c291e0bd8e1c7dac9f",
+        "fb18de049b0f480147d8055a935568dd3c0f76cfd4eb716fe7fd733fe7a96ae3",
 }
 
 
@@ -223,7 +260,7 @@ def test_scalar_source_is_byte_identical_to_recorded_digests(app_name):
         sched.update(
             generate_sched_source(image.compiled[name].schedule).encode())
     assert sched.hexdigest() == SCALAR_SOURCE_DIGESTS[app_name]
-    assert CODEGEN_SCHEMA == 2
+    assert CODEGEN_SCHEMA == 3
 
 
 def test_memo_reuse_is_bit_identical_across_jobs(tmp_path, cp):
