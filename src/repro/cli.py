@@ -10,9 +10,6 @@
         [--shard K/N] [--retries 2]
     python -m repro merge <run-id-or-prefix> --store lab-runs
     python -m repro replay lab-runs/<run>/bundles/<point>
-    python -m repro serve --port 0 --jobs 4 --cache serve-cache \\
-        --address-file serve.addr
-    python -m repro submit --address HOST:PORT synth --app loopback:4
 
 ``compile`` writes one ``.v`` file per process plus ``report.txt`` (area,
 Fmax, pipeline timing). ``report`` prints the original-vs-assert overhead
@@ -318,7 +315,11 @@ def _retry_arg(args):
 
 def cmd_campaign(args) -> int:
     from repro.core.synth import SynthesisOptions
-    from repro.faults.campaign import builtin_targets, run_campaign
+    from repro.faults.campaign import (
+        builtin_targets,
+        campaign_summary,
+        run_campaign,
+    )
 
     if args.app not in builtin_targets():
         raise SystemExit(
@@ -346,8 +347,6 @@ def cmd_campaign(args) -> int:
     )
     if args.json:
         import json as _json
-
-        from repro.serve.protocol import campaign_summary
 
         print(_json.dumps(campaign_summary(result), indent=2,
                           sort_keys=True))
@@ -398,7 +397,7 @@ def _parse_app_token(token: str):
 
 
 def cmd_sweep(args) -> int:
-    from repro.lab.sweep import SweepError, SweepSpec, run_sweep
+    from repro.lab.sweep import SweepError, SweepSpec, run_sweep, sweep_summary
 
     try:
         apps = [_parse_app_token(tok)
@@ -428,8 +427,6 @@ def cmd_sweep(args) -> int:
         return 130
     if args.json:
         import json as _json
-
-        from repro.serve.protocol import sweep_summary
 
         print(_json.dumps(sweep_summary(result), indent=2, sort_keys=True))
         return 0 if result.ok else 1
@@ -556,135 +553,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    import signal
-
-    from repro.serve.server import ReproServer, ServeConfig
-
-    server = ReproServer(ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_inflight=args.jobs,
-        queue_depth=args.queue_depth,
-        per_client=args.per_client,
-        inner_jobs=args.inner_jobs,
-        cache_root=args.cache,
-        store_root=args.store,
-        job_timeout=args.timeout,
-        drain_timeout=args.drain_timeout,
-    ))
-    host, port = server.address
-    address = f"{host}:{port}"
-    print(f"repro serve: listening on {address} "
-          f"(workers={args.jobs}, queue={args.queue_depth}, "
-          f"per-client={args.per_client})", flush=True)
-    if args.address_file:
-        with open(args.address_file, "w") as fh:
-            fh.write(address + "\n")
-
-    def _on_signal(signum, frame):  # noqa: ARG001 - signal handler shape
-        print(f"repro serve: received signal {signum}, draining",
-              file=sys.stderr, flush=True)
-        server.request_shutdown()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-
-    report = server.serve_forever()
-    jobs = report["jobs"]
-    print(f"repro serve: drained={report['drained']} "
-          f"(submitted={jobs['submitted']} completed={jobs['completed']} "
-          f"coalesced={jobs['coalesced']} rejected={jobs['rejected']}, "
-          f"uptime {report['uptime_s']:.1f}s)", flush=True)
-    return 0 if report["drained"] else 1
-
-
-def _submit_app_params(args) -> dict:
-    """--app token -> the serve protocol's app object."""
-    spec = _parse_app_token(args.app)
-    return {"kind": spec.kind, "params": dict(spec.params)}
-
-
-#: `repro submit` exit codes, one per terminal outcome, so scripts and CI
-#: can branch on *why* a job did not succeed without parsing output
-SUBMIT_EXIT = {"ok": 0, "failed": 1, "timeout": 2, "rejected": 3,
-               "error": 4}
-
-
-def cmd_submit(args) -> int:
-    import json as _json
-
-    from repro.errors import ServeError
-    from repro.serve.client import ServeClient
-
-    try:
-        client = ServeClient(args.address, client_id=args.client)
-    except ServeError as exc:
-        raise SystemExit(str(exc)) from None
-
-    verb = args.verb
-    try:
-        if verb in ("stats", "ping", "shutdown"):
-            event = getattr(client, verb)()
-            print(_json.dumps(event, indent=2, sort_keys=True))
-            return 0
-        if verb == "synth":
-            params = {"app": _submit_app_params(args),
-                      "level": args.level, "variant": args.variant}
-        elif verb == "sweep":
-            params = {
-                "name": args.name,
-                "apps": [
-                    {"kind": s.kind, "params": dict(s.params)}
-                    for s in (_parse_app_token(tok)
-                              for tok in args.apps.split(",") if tok)
-                ],
-                "levels": args.levels.split(","),
-                "variants": args.variants.split(","),
-            }
-        elif verb == "campaign":
-            params = {"app": args.app, "seed": args.seed,
-                      "count": args.count,
-                      "levels": args.levels.split(","),
-                      "nabort": args.nabort}
-        else:  # difftest
-            lo, _, hi = args.seeds.partition(":")
-            params = {"name": args.name, "seeds": [int(lo), int(hi)],
-                      "max_stmts": args.stmts,
-                      "max_cycles": args.max_cycles}
-        reply = client.submit(verb, params, timeout=args.timeout)
-    except ServeError as exc:
-        raise SystemExit(str(exc)) from None
-
-    if args.json:
-        print(_json.dumps(reply.terminal, indent=2, sort_keys=True))
-    else:
-        term = reply.terminal
-        if reply.rejected or term.get("event") == "error":
-            print(f"submit {verb}: {term.get('event')} "
-                  f"[{term.get('code')}] {term.get('message')}",
-                  file=sys.stderr)
-        else:
-            note = "coalesced" if reply.coalesced else "led"
-            print(f"submit {verb}: {reply.status} ({note}, "
-                  f"{term.get('elapsed_s', 0.0)}s, "
-                  f"fingerprint {reply.fingerprint})")
-            if reply.ok and verb == "synth":
-                rec = reply.record
-                print(f"  {rec['point_id']}: ALUTs={rec['comb_aluts']} "
-                      f"regs={rec['registers']} "
-                      f"fmax={rec['fmax_mhz']:.1f}MHz "
-                      f"cache_hit={rec['cache_hit']}")
-            elif reply.ok:
-                print(f"  ok={reply.record.get('ok')}")
-            for diag in reply.diagnostics:
-                print(f"  [{diag.get('code')}] {diag.get('message')}",
-                      file=sys.stderr)
-    # reply.status is the result's status (ok/failed/timeout) or, for
-    # non-result terminals, the event name (rejected/error)
-    return SUBMIT_EXIT.get(reply.status, SUBMIT_EXIT["error"])
-
-
 def _fabric_flags(p) -> None:
     """Campaign-fabric flags shared by sweep/campaign/difftest."""
     p.add_argument("--shard", default=None, metavar="K/N",
@@ -801,8 +669,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="with --store: discard previous results")
     p.add_argument("--json", action="store_true",
                    help="print one JSON summary object (coverage matrix, "
-                        "detection rates, outcome records) instead of the "
-                        "table — the serve protocol's campaign schema")
+                        "detection rates, outcome records) instead of "
+                        "the table")
     _fabric_flags(p)
     p.set_defaults(func=cmd_campaign)
 
@@ -832,8 +700,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="discard previous results for this sweep")
     p.add_argument("--json", action="store_true",
                    help="print one JSON summary object (manifest + stats + "
-                        "records) instead of the table — the serve "
-                        "protocol's sweep schema")
+                        "records) instead of the table")
     _fabric_flags(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -872,87 +739,6 @@ def main(argv: list[str] | None = None) -> int:
                         "model as a strict lockstep leg")
     _fabric_flags(p)
     p.set_defaults(func=cmd_difftest)
-
-    p = sub.add_parser(
-        "serve",
-        help="long-running synthesis daemon with request coalescing "
-             "and admission control",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (local use only)")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (0 = kernel-assigned, printed on start)")
-    p.add_argument("--jobs", type=int, default=4,
-                   help="worker threads = max concurrently running jobs")
-    p.add_argument("--inner-jobs", type=int, default=1,
-                   help="worker processes each sweep/campaign/difftest "
-                        "job may use internally")
-    p.add_argument("--queue-depth", type=int, default=16,
-                   help="jobs allowed to wait beyond the running set "
-                        "before capacity rejections start")
-    p.add_argument("--per-client", type=int, default=16,
-                   help="max in-flight jobs per client id")
-    p.add_argument("--cache", default=None, metavar="DIR",
-                   help="content-addressed synthesis cache shared by "
-                        "every job (strongly recommended)")
-    p.add_argument("--store", default="serve-runs", metavar="DIR",
-                   help="result store journaled runs land under")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="default per-job timeout (a request's own wins)")
-    p.add_argument("--drain-timeout", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="how long shutdown waits for in-flight jobs")
-    p.add_argument("--address-file", default=None, metavar="FILE",
-                   help="write the bound host:port here once listening")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "submit",
-        help="submit one job to a running 'repro serve' daemon",
-    )
-    p.add_argument("--address", default=None, metavar="HOST:PORT",
-                   help="daemon address (default: $REPRO_SERVE)")
-    p.add_argument("--client", default=None,
-                   help="client id for per-client admission (default "
-                        "user@pid)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="give up waiting for the result after this long")
-    p.add_argument("--json", action="store_true",
-                   help="print the raw terminal event")
-    subverb = p.add_subparsers(dest="verb", required=True)
-
-    sp = subverb.add_parser("synth", help="one design point")
-    sp.add_argument("--app", default="loopback:4",
-                    help="loopback[:N], edge[:WxH], tripledes[:TEXT]")
-    sp.add_argument("--level", default="optimized",
-                    choices=("none", "unoptimized", "optimized"))
-    sp.add_argument("--variant", default="default",
-                    help="SynthesisOptions variant (default, noshare, "
-                         "noreplicate, noparallelize, multichecker)")
-
-    sp = subverb.add_parser("sweep", help="a design-space sweep")
-    sp.add_argument("--name", default="serve-sweep")
-    sp.add_argument("--apps", default="loopback:4")
-    sp.add_argument("--levels", default="none,optimized")
-    sp.add_argument("--variants", default="default")
-
-    sp = subverb.add_parser("campaign", help="a fault-injection campaign")
-    sp.add_argument("--app", default="loopback")
-    sp.add_argument("--levels", default="none,optimized")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=4)
-    sp.add_argument("--nabort", action="store_true")
-
-    sp = subverb.add_parser("difftest", help="a differential-fuzz campaign")
-    sp.add_argument("--name", default="serve-difftest")
-    sp.add_argument("--seeds", default="0:10", metavar="LO:HI")
-    sp.add_argument("--stmts", type=int, default=8)
-    sp.add_argument("--max-cycles", type=int, default=200_000)
-
-    subverb.add_parser("stats", help="print the daemon's /stats payload")
-    subverb.add_parser("ping", help="liveness check")
-    subverb.add_parser("shutdown", help="ask the daemon to drain and exit")
-    p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(
         "merge",

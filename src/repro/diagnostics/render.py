@@ -19,8 +19,8 @@ import re
 
 from repro.diagnostics.core import Diagnostic
 
-__all__ = ["diagnostic_records", "diagnostics_to_json", "render_diagnostic",
-           "render_diagnostics", "summary_line"]
+__all__ = ["diagnostics_to_json", "render_diagnostic", "render_diagnostics",
+           "summary_line"]
 
 _RESET = "\x1b[0m"
 _BOLD = "\x1b[1m"
@@ -107,19 +107,6 @@ def summary_line(diags: list[Diagnostic], color: bool = False) -> str:
     if color and errors:
         return f"{_SEV_COLOR['error']}{text}{_RESET}"
     return text
-
-
-def diagnostic_records(diags: list) -> list[dict]:
-    """Plain-dict diagnostic records in stable source order.
-
-    Accepts a mix of :class:`Diagnostic` objects and already-serialized
-    dicts — the form streamed results embed (serve protocol events, JSONL
-    journals), so every machine-readable surface orders diagnostics the
-    same way the human renderer does.
-    """
-    objs = [d if isinstance(d, Diagnostic) else Diagnostic.from_dict(d)
-            for d in diags]
-    return [d.to_dict() for d in sorted(objs, key=Diagnostic.sort_key)]
 
 
 def diagnostics_to_json(diags: list[Diagnostic], **extra) -> str:

@@ -39,7 +39,6 @@ __all__ = [
     "ReproError",
     "ReproTypeError",
     "SchedulingError",
-    "ServeError",
     "SimCompileError",
     "SimulationError",
     "TypeError_",
@@ -211,14 +210,6 @@ class CampaignError(ReproError):
     code_prefix = "RPR-G"
 
 
-class ServeError(ReproError):
-    """Raised by the synthesis service (:mod:`repro.serve`) — malformed
-    protocol messages, admission-control rejections, a draining daemon, or
-    client-side connection failures."""
-
-    code_prefix = "RPR-V"
-
-
 class PlatformError(ReproError):
     """Raised when a design does not fit the target device."""
 
@@ -283,7 +274,6 @@ CODE_PREFIXES: dict[str, str] = {
     "RPR-D": "platform / device fit",
     "RPR-R": "task-graph construction (processes, streams, taps)",
     "RPR-W": "design-space sweeps",
-    "RPR-V": "synthesis service (serve daemon: protocol, admission, client)",
     "RPR-Y": "differential-testing harness",
     "RPR-M": "performance-bench harness (backend mismatch, baseline gate)",
     "RPR-E": "generic / internal (E999 = bridged non-toolchain exception)",

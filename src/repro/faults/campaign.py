@@ -60,6 +60,7 @@ __all__ = [
     "CampaignResult",
     "CampaignTarget",
     "builtin_targets",
+    "campaign_summary",
     "generate_scenarios",
     "matrix_from_records",
     "outcome_from_record",
@@ -244,6 +245,27 @@ def record_from_outcome(oc: RunOutcome) -> dict:
         "quarantined": list(oc.quarantined),
         "events": list(oc.events),
         "diagnostics": list(oc.diagnostics),
+    }
+
+
+def campaign_summary(result: CampaignResult) -> dict:
+    """One JSON object for a finished campaign (``repro campaign
+    --json``): the coverage matrix as records, per-level classification
+    counts and detection rates."""
+    return {
+        "schema": 1,
+        "kind": "campaign",
+        "app": result.app,
+        "seed": result.seed,
+        "run_id": result.run_id,
+        "levels": list(result.levels),
+        "ok": not result.harness_errors,
+        "scenarios": [{"name": sc.name, "description": sc.description}
+                      for sc in result.scenarios],
+        "summary": {lv: result.summary(lv) for lv in result.levels},
+        "detection_rate": {lv: result.detection_rate(lv)
+                           for lv in result.levels},
+        "outcomes": [record_from_outcome(oc) for oc in result.outcomes],
     }
 
 

@@ -64,8 +64,8 @@ Determinism contract: workers receive pure, picklable inputs
 (:class:`SweepPoint`), the toolchain itself is seedless, and outcomes are
 collected in submission order — so the same spec produces byte-identical
 tables at any ``--jobs`` value, and cached artifacts are indistinguishable
-from freshly synthesized ones. Retries, hedging, sharding and chaos all
-preserve that contract at the *merged record* level.
+from freshly synthesized ones. Retries, sharding and chaos all preserve
+that contract at the *merged record* level.
 """
 
 from repro.lab.cache import CacheStats, SynthesisCache, cache_key

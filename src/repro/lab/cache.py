@@ -18,9 +18,9 @@ Properties:
 * **cross-process safe** — entries are written to a temp file and
   ``os.replace``-d into place, so concurrent sweep workers can share one
   cache directory without locks (last writer wins on identical content);
-* **thread-safe** — one handle may be shared across threads (the serve
-  daemon's request pool hammers a single warm handle); get/put/evict and
-  the stats counters are serialized by an internal lock;
+* **thread-safe** — one handle may be shared across threads (a
+  long-lived caller's worker threads); get/put/evict and the stats
+  counters are serialized by an internal lock;
 * **bounded** — each handle keeps an entry count (one directory scan on
   its first ``put``, then +1 per new key and -1 per entry it drops); only
   when that count passes ``max_entries`` does an LRU sweep (by access
@@ -47,7 +47,8 @@ Three entry kinds share the store, in disjoint key namespaces:
   stay meaningful.
 
 **Fill leases** dedupe *concurrent first-touch fills*: the on-disk store
-already dedupes across time (second run hits), but N daemons cold-starting
+already dedupes across time (second run hits), but N processes (sweep
+workers, or concurrent ``repro`` runs over one ``--cache``) cold-starting
 the same campaign used to synthesize the same points N times in parallel.
 :meth:`SynthesisCache.acquire_fill` claims a fingerprint-keyed lease file
 (claimed by atomic hard link of a fully written payload: owner pid +
@@ -267,10 +268,6 @@ class CacheStats:
         now = self.snapshot()
         return {k: now[i] - before[i] for i, k in enumerate(self._FIELDS)}
 
-    def merge(self, other: dict[str, int]) -> None:
-        for name in self._FIELDS:
-            setattr(self, name, getattr(self, name) + other.get(name, 0))
-
     def __str__(self) -> str:
         return (f"cache hits={self.hits} misses={self.misses} "
                 f"stores={self.stores} evictions={self.evictions} "
@@ -320,8 +317,8 @@ class SynthesisCache:
         self.stats = CacheStats()
         # the on-disk format is cross-process safe via atomic replaces,
         # but one *handle* (stats counters + get/put/evict sequences) is
-        # not inherently thread-safe; the serve daemon shares a single
-        # warm handle across its whole request pool, so serialize here
+        # not inherently thread-safe; a caller may share one warm handle
+        # across threads, so serialize here
         self._lock = threading.RLock()
         # entries in objects/ as this handle knows them: None until the
         # first put() takes it with one scan; puts of new keys add, this

@@ -98,15 +98,6 @@ class ExecStats:
             "pool_breaks": self.pool_breaks,
         }
 
-    def merge(self, other: dict) -> None:
-        """Fold a journaled stats dict (a manifest's ``executor`` block)
-        into this aggregate — the serve daemon's ``/stats`` verb sums the
-        fabric work of every job it ran through one of these."""
-        self.retries += other.get("retries", 0)
-        self.timeouts += other.get("timeouts", 0)
-        self.worker_kills += other.get("worker_kills", 0)
-        self.pool_breaks += other.get("pool_breaks", 0)
-
 
 def _harness_diagnostics(code: str, message: str) -> list:
     """A coded diagnostic for failures with no exception object (a worker

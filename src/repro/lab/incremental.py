@@ -6,15 +6,14 @@ module inserts a :func:`repro.lab.cache.process_cache_key` lookup between
 the two, so synthesizing an app means: fingerprint each process, rebuild
 only the ones whose key misses, and assemble the image from the artifact
 set. Editing one process of an N-process app costs one process synthesis
-plus assembly instead of N — the warm-edit latency the serve daemon's
-submit path now rides on.
+plus assembly instead of N.
 
 Because full and incremental synthesis share the exact same two-phase
 pipeline, their outputs are identical by construction (and pinned
 byte-identical by ``tests/lab/test_incremental.py``).
 
 Each cache miss is filled under a :class:`repro.lab.cache.FillLease`, so
-N workers/daemons cold-starting the same point perform exactly one
+N workers or runs cold-starting the same point perform exactly one
 synthesis per process while the rest wait and read the filled entries.
 """
 

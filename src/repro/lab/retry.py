@@ -37,20 +37,11 @@ __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
     "is_transient",
-    "is_transient_exception",
 ]
 
 #: executor-harness diagnostic codes that mark an outcome as retryable:
-#: the *fabric* failed (crash, hang, broken pool), not the point itself.
-#: The serve layer contributes its own transients — capacity rejections
-#: (RPR-V002), a draining daemon (RPR-V004), an unreachable daemon
-#: (RPR-V006) and a mid-stream disconnect after acceptance (RPR-V007) —
-#: so the daemon client classifies network faults with the *same*
-#: policy campaigns use for worker faults.
-TRANSIENT_CODES = frozenset({
-    "RPR-E001", "RPR-E002", "RPR-E003",
-    "RPR-V002", "RPR-V004", "RPR-V006", "RPR-V007",
-})
+#: the *fabric* failed (crash, hang, broken pool), not the point itself
+TRANSIENT_CODES = frozenset({"RPR-E001", "RPR-E002", "RPR-E003"})
 
 #: emitted once when the circuit breaker trips a campaign into no-retry
 BREAKER_CODE = "RPR-E004"
@@ -72,17 +63,6 @@ def is_transient(outcome) -> bool:
         # failure — treat as transient (a retry can only help)
         return outcome.status in ("timeout", "failed")
     return bool(codes) and codes <= TRANSIENT_CODES
-
-
-def is_transient_exception(exc: BaseException) -> bool:
-    """True when an exception carries a transient diagnostic code.
-
-    The one classification seam for exception-shaped failures (the serve
-    client's connection errors, a daemon's capacity rejection): a
-    :class:`~repro.errors.ReproError` whose ``code`` is in
-    :data:`TRANSIENT_CODES` is worth retrying elsewhere or later.
-    """
-    return getattr(exc, "code", None) in TRANSIENT_CODES
 
 
 @dataclass

@@ -44,6 +44,7 @@ __all__ = [
     "evaluate_point",
     "evaluate_point_cached",
     "run_sweep",
+    "sweep_summary",
 ]
 
 
@@ -213,9 +214,8 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache) -> dict:
     """Evaluate one point through an existing cache handle.
 
     This is the in-process reuse seam: sweep workers call it with a fresh
-    per-call handle (via :func:`evaluate_point`), while the serve daemon
-    (:mod:`repro.serve`) calls it with one long-lived, thread-safe handle
-    so every request shares the same warm statistics and disk objects.
+    per-call handle (via :func:`evaluate_point`), while a long-lived
+    Python caller may pass one warm, thread-safe handle for every point.
     Returns a JSON-able record whose ``cache_stats`` field is the *delta*
     this evaluation contributed (for a fresh handle that equals the
     handle's full stats, so journaled records are unchanged).
@@ -225,7 +225,7 @@ def evaluate_point_cached(point: SweepPoint, cache: SynthesisCache) -> dict:
     nothing else. A miss is filled *incrementally*
     (:func:`repro.lab.incremental.synthesize_incremental` — only the
     processes whose per-process fingerprints miss are resynthesized) and
-    under a fill lease (concurrent workers/daemons cold-starting the same
+    under a fill lease (concurrent workers or runs cold-starting the same
     point perform exactly one fill; the rest wait and read it). The
     record reports ``resyntheses``/``proc_hits``/``proc_misses``/
     ``partial_rebuild`` for the incremental work and counts a
@@ -355,6 +355,23 @@ class SweepResult:
     def ok(self) -> bool:
         return self.manifest.get("counters", {}).get("failed", 0) == 0 and \
             len(self.records) == len(self.points)
+
+
+def sweep_summary(result: SweepResult) -> dict:
+    """One JSON object for a finished sweep (``repro sweep --json``): the
+    run manifest (counters, executor stats, cache stats) plus the latest
+    record per point."""
+    return {
+        "schema": 1,
+        "kind": "sweep",
+        "name": result.spec.name,
+        "run_id": result.run.run_id,
+        "ok": result.ok,
+        "points": [p.point_id for p in result.points],
+        "manifest": result.manifest,
+        "records": [result.records[pid]
+                    for pid in sorted(result.records)],
+    }
 
 
 def run_sweep(

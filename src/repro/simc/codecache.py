@@ -37,8 +37,7 @@ _CODE_MEMO: dict[tuple[str, str], object] = {}
 
 @dataclass
 class MemoStats:
-    """In-process memo counters — the observable the serve daemon's
-    warm-process win rests on: across repeated jobs in one process the
+    """In-process memo counters: across repeated jobs in one process the
     hit counts rise while the miss counts stay flat."""
 
     source_hits: int = 0

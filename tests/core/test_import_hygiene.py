@@ -70,7 +70,21 @@ def test_importing_the_cli_loads_no_part_of_the_flow():
 def test_help_loads_no_part_of_the_flow():
     loaded = _modules(RUN_CLI, "--help")
     assert _under(loaded, "networkx", "repro.core", "repro.frontend",
-                  "repro.lab", "repro.serve") == []
+                  "repro.lab") == []
+
+
+def test_help_lists_no_daemon_commands():
+    env = dict(os.environ, PYTHONPATH=SRC_ROOT)
+    out = subprocess.run([sys.executable, "-m", "repro", "--help"], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    commands = out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert "sweep" in commands
+    assert "serve" not in commands and "submit" not in commands
+    for retired in ("serve", "submit"):
+        proc = subprocess.run([sys.executable, "-m", "repro", retired],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert f"invalid choice: '{retired}'" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -80,7 +94,7 @@ def test_help_loads_no_part_of_the_flow():
 def test_single_design_commands_load_no_lab_or_serve(cfile, argv):
     loaded = _modules(RUN_CLI, argv[0], cfile, *argv[1:])
     assert "repro.core.synth" in loaded
-    assert _under(loaded, "networkx", "repro.lab", "repro.serve") == []
+    assert _under(loaded, "networkx", "repro.lab") == []
 
 
 def test_simulate_still_fills_a_configured_lab_cache(cfile, tmp_path):

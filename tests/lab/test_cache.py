@@ -283,10 +283,10 @@ def test_cache_shared_across_processes(tmp_path):
 
 
 def test_one_handle_is_safe_under_concurrent_threads(tmp_path):
-    """Serve-daemon regression: many threads hammer one shared handle —
-    get/put/evict racing freely — with no exceptions and coherent stats.
-    Before the cache grew its lock, concurrent _evict() calls crashed on
-    files another thread had already unlinked."""
+    """Many threads hammer one shared handle — get/put/evict racing
+    freely — with no exceptions and coherent stats. Before the cache grew
+    its lock, concurrent _evict() calls crashed on files another thread
+    had already unlinked."""
     import threading
 
     cache = SynthesisCache(tmp_path / "c", max_entries=8)

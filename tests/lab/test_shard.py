@@ -71,6 +71,20 @@ def test_canonical_record_strips_volatile_fields():
                                      "value": 7}
 
 
+def test_canonical_record_strips_only_volatile_keys():
+    rec = {"point_id": "p", "comb_aluts": 12, "elapsed_s": 0.5,
+           "cache_hit": True, "cache_stats": {"hits": 1}, "attempts": 2}
+    canon = canonical_record(rec)
+    assert canon == {"point_id": "p", "comb_aluts": 12}
+    # a miss and a hit of the same point canonicalize identically
+    miss = dict(rec, cache_hit=False, elapsed_s=3.2,
+                cache_stats={"misses": 1}, attempts=1)
+    assert canonical_record(miss) == canon
+    # a failed point's bundle path and traceback vary by run too
+    failed = dict(rec, bundle="runs/r/bundles/p", detail="Traceback ...")
+    assert canonical_record(failed) == canon
+
+
 # ---- run-group resolution ------------------------------------------------
 
 def write_run(store, run_id, records, manifest=None):

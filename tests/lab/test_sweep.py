@@ -1,5 +1,11 @@
 """End-to-end sweeps: cross products, caching, resume, interruption, CLI."""
 
+import json
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import pytest
 
 import repro.lab.sweep as sweep_mod
@@ -15,6 +21,7 @@ from repro.lab.sweep import (
     evaluate_point,
     evaluate_point_cached,
     run_sweep,
+    sweep_summary,
 )
 
 SMALL_SRC = """
@@ -378,3 +385,50 @@ def test_cli_sweep_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count(" hit") >= 4 and " miss" not in out
+
+
+def test_sweep_summary_shape_and_record_order():
+    result = SimpleNamespace(
+        spec=SimpleNamespace(name="s"), run=SimpleNamespace(run_id="r-1"),
+        ok=True, manifest={"status": "completed"},
+        records={"b": {"point_id": "b"}, "a": {"point_id": "a"}},
+        points=[SimpleNamespace(point_id=p) for p in ("a", "b")])
+    s = sweep_summary(result)
+    assert s["kind"] == "sweep" and s["schema"] == 1
+    assert s["points"] == ["a", "b"]
+    assert [r["point_id"] for r in s["records"]] == ["a", "b"]
+    json.dumps(s)  # must be JSON-able as-is
+
+
+def _cli_sweep(tmp_path, name, cache):
+    """A ``python -m repro sweep --json`` process for one pipeline point."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep", "--name", name,
+         "--apps", "pipeline:6", "--levels", "optimized", "--json",
+         "--store", str(tmp_path / "runs"), "--cache", str(tmp_path / cache)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def _finish(proc) -> dict:
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return json.loads(out)
+
+
+def test_concurrent_cli_sweeps_over_one_cache_fill_each_key_once(tmp_path):
+    """Two ``repro sweep`` processes racing on one point over one cache
+    directory do what one process alone does: the fill leases (or a warm
+    hit) make the second process's synthesis free."""
+    solo = _finish(_cli_sweep(tmp_path, "solo", "solo-cache"))
+    assert solo["manifest"]["counters"]["resyntheses"] == 6
+
+    pair = [_finish(p) for p in [_cli_sweep(tmp_path, name, "shared")
+                                 for name in ("a", "b")]]
+    counters = [doc["manifest"]["counters"] for doc in pair]
+    assert sum(c["resyntheses"] for c in counters) == 6, counters
+    assert sum(c["cache_misses"] for c in counters) == 1, counters
+    canon = [[canonical_record(r) for r in doc["records"]]
+             for doc in (solo, *pair)]
+    assert canon[0] == canon[1] == canon[2]

@@ -143,8 +143,8 @@ def test_cached_construction_still_executes_correctly(tmp_path, cp):
 
 
 def test_memo_stats_rise_across_repeated_jobs(tmp_path, cp):
-    """Warm-process observability (serve daemon): repeated identical jobs
-    in one process raise the memo hit counters while misses stay flat."""
+    """Warm-process observability: repeated identical jobs in one
+    process raise the memo hit counters while misses stay flat."""
     from repro.simc import memo_stats
 
     cache = SynthesisCache(tmp_path / "c")
@@ -184,10 +184,10 @@ def test_clear_memo_resets_stats(tmp_path, cp):
 
 
 def test_memo_safe_under_concurrent_codegen(tmp_path, cp):
-    """Serve-daemon shape: many threads generating cycle-model source for
-    two designs through one shared memo. Every thread must get the bytes
-    its design asked for — never the sibling's — and the memo must settle
-    to one entry per design."""
+    """Many threads generating cycle-model source for two designs through
+    one shared memo. Every thread must get the bytes its design asked for
+    — never the sibling's — and the memo must settle to one entry per
+    design."""
     import threading
 
     from repro.simc.codecache import _SOURCE_MEMO
