@@ -1,11 +1,13 @@
 """Incremental-synthesis perf bench (cold vs warm vs edit-one-process vs
-rebuild-from-source).
+rebuild-from-source vs identical stages relocated).
 
 Like ``bench_perf_sim.py`` this measures *our own tooling*: how much of
 an app resynthesis the per-process artifact cache
 (:mod:`repro.lab.incremental`) saves when the cache is warm, and when
-exactly one process of an N-process pipeline has been edited, and what
-a warm sweep point pays when it rebuilds the app from source first. Every
+exactly one process of an N-process pipeline has been edited, what a
+warm sweep point pays when it rebuilds the app from source first, and
+how much cheaper a cold pipeline of N identical stages is than one of N
+distinct stages (one synthesis, relocated to the rest). Every
 timed leg is identity-checked first (``repro.lab.bench`` compares the
 incremental images' resource/timing summaries and assertion decode
 tables against fresh full resyntheses), so the numbers can only exist
@@ -43,13 +45,18 @@ def test_incremental_synth_speedup(benchmark):
     # all N process syntheses and must beat cold by >=2x even with
     # assembly overhead; an edit rebuilds 1 of N and must still beat a
     # full cold resynthesis; a rebuild re-lowers nothing (memo warm), so
-    # it pays the app build on top of a warm hit and must still beat cold.
+    # it pays the app build on top of a warm hit and must still beat cold;
+    # identical stages synthesize one process of N and must beat N
+    # distinct ones the way an edit does.
     for stages in (4, 8):
         warm = by_key[(f"pipeline{stages}", "synth_warm")]
         edit = by_key[(f"pipeline{stages}", "synth_edit")]
         rebuild = by_key[(f"pipeline{stages}", "synth_rebuild")]
+        relocate = by_key[(f"pipeline{stages}", "synth_relocate")]
         assert warm["speedup"] > 2.0
         assert edit["speedup"] > 1.2
         assert edit["resyntheses"] == 1
         assert rebuild["speedup"] > 1.2
+        assert relocate["speedup"] > 1.2
+        assert relocate["resyntheses"] == 1
     assert doc["geomean_speedup"] > 1.5

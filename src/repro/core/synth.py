@@ -19,7 +19,9 @@ The pipeline is split at a per-process seam so synthesis can be
 
 * :func:`synth_process` instruments and hardware-compiles ONE process in
   isolation, producing a :class:`ProcessArtifact` — a self-contained,
-  picklable unit addressed by :func:`repro.lab.cache.process_cache_key`;
+  picklable unit addressed by :func:`repro.lab.cache.process_cache_key`
+  and movable to another instance of the same process by
+  :func:`repro.lab.incremental.relocate`;
 * :func:`assemble_image` replays the app-level wiring (registry codes,
   checker taps, multichecker merging, shared failure collectors) over a
   set of artifacts, producing a :class:`HardwareImage` identical to a
@@ -30,8 +32,10 @@ The pipeline is split at a per-process seam so synthesis can be
 
 The only cross-process coupling is the error-code numbering: the
 :class:`AssertionRegistry` assigns globally sequential codes in process
-iteration order, so each artifact is keyed and built with an explicit
-``code_base`` (the first code its assertions receive).
+iteration order, so each artifact is built with an explicit ``code_base``
+(the first code its assertions receive). :func:`synthesize` builds every
+process at its real base; the incremental path builds a cache artifact
+from base 1 and relocates it, so the process key holds no base.
 """
 
 from __future__ import annotations
@@ -116,6 +120,10 @@ class ProcessArtifact:
     Self-contained and picklable: :mod:`repro.lab.cache` stores these
     under :func:`repro.lab.cache.process_cache_key` so an app rebuild only
     re-synthesizes the processes whose IR (or options slice) changed.
+    Every name, file and error code in it is the position it was built
+    at (``name``, ``func.name``, ``func.source_file`` and the first code
+    in ``codes``); :func:`repro.lab.incremental.relocate` moves it to
+    another instance of the same process.
     """
 
     name: str
@@ -125,7 +133,8 @@ class ProcessArtifact:
     func: object
     #: hardware compilation of ``func``
     compiled: CompiledProcess
-    #: checker plans with *absolute* error codes (``code_base`` applied)
+    #: checker plans, with the error codes of the ``code_base`` this
+    #: artifact was built or relocated at
     plans: list[CheckerPlan] = field(default_factory=list)
     #: per-plan checker compilations under the default
     #: :class:`HLSConfig` — :func:`assemble_image` recompiles a checker
@@ -179,7 +188,9 @@ def synth_process(
 
     ``config``/``fault_spec`` are this process's resolved HLS-config
     override and translation-fault tuple (both key-relevant: the cache
-    layer folds them into :func:`repro.lab.cache.process_cache_key`).
+    layer folds them into :func:`repro.lab.cache.process_cache_key`;
+    ``code_base`` is not, because the cache layer always builds from 1
+    and relocates).
     """
     options = options or SynthesisOptions()
     level = effective_level(assertions, options)
@@ -264,8 +275,8 @@ def assemble_image(
     of which artifacts came from cache and which were just built.
 
     ``artifacts`` must cover every FPGA process of ``app`` and have been
-    built with contiguous ``code_base`` values in process iteration order
-    (a mismatch raises ``RPR-A005``).
+    built (or relocated) at contiguous ``code_base`` values in process
+    iteration order (a mismatch raises ``RPR-A005``).
     """
     options = options or SynthesisOptions()
     level = effective_level(assertions, options)
@@ -297,8 +308,8 @@ def assemble_image(
                 raise AssertionSynthesisError(
                     f"artifact for {pd.name!r} was built with code base "
                     f"{art.codes[0][0]} but assembly assigned {got}; "
-                    "artifacts must be keyed with contiguous code bases "
-                    "in process order", code="RPR-A005")
+                    "artifacts must be built or relocated at contiguous "
+                    "code bases in process order", code="RPR-A005")
         if art.fail_stream is not None:
             hw_app.sink(art.fail_stream, f"{pd.name}.{FAIL_PARAM}",
                         role="assert_code")
@@ -408,10 +419,11 @@ def synthesize(
     (:mod:`repro.hls.faults`), injected into the hardware side only.
     ``configs`` overrides per-process HLS configuration.
 
-    Implemented as :func:`synth_process` per FPGA process followed by
-    :func:`assemble_image`; :func:`repro.lab.incremental.synthesize_incremental`
-    runs the same two steps with a cache lookup in between, so the
-    incremental path cannot diverge from this one.
+    Implemented as :func:`synth_process` per FPGA process, each at its
+    real name and ``code_base``, followed by :func:`assemble_image`.
+    :func:`repro.lab.incremental.synthesize_incremental` runs the same two
+    steps with a cache lookup and a relocation in between; this function
+    is its per-position oracle.
     """
     options = options or SynthesisOptions()
     level = effective_level(assertions, options)

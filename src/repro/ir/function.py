@@ -79,11 +79,13 @@ class IRFunction:
 
     def mark_shared(self) -> None:
         """Declare this function shared, read-only IR (the frontend memo's
-        functions are): from now on :meth:`__str__` prints it once and
-        returns that text on every later call. Neither the mark nor the
-        text survives :meth:`clone` or pickling, so a copy is private,
-        mutable and printed afresh."""
+        functions are): from now on :meth:`__str__` and
+        :meth:`relocatable_text` print it once and return that text on
+        every later call. Neither the mark nor the texts survive
+        :meth:`clone` or pickling, so a copy is private, mutable and
+        printed afresh."""
         self._shared_text = None
+        self._shared_reloc = None
 
     def clone(self, name: str | None = None) -> "IRFunction":
         """Deep-copy this function (instructions and terminators are fresh
@@ -147,11 +149,12 @@ class IRFunction:
         """The canonical printed form of this function.
 
         This text is the function's *identity* for content addressing:
-        :func:`repro.lab.cache.process_cache_key` fingerprints it to
-        decide whether a cached per-process synthesis artifact is still
-        valid, so it must be a pure function of the IR (no ids, memory
-        addresses or interpreter state) and must change whenever anything
-        synthesis consumes changes.
+        :func:`repro.lab.cache.cache_key` fingerprints it to decide
+        whether a cached synthesized image is still valid, so it must be
+        a pure function of the IR (no ids, memory addresses or
+        interpreter state) and must change whenever anything synthesis
+        consumes changes. Per-process artifacts are keyed on
+        :meth:`relocatable_text` instead.
         """
         header = (
             f"func {self.name}("
@@ -163,6 +166,66 @@ class IRFunction:
             parts.append(f"  array {arr}")
         for block in self.blocks.values():
             parts.append(str(block))
+        return "\n".join(parts)
+
+    def relocatable_text(self) -> str:
+        """The canonical form of this function *up to relocation*.
+
+        :func:`repro.lab.cache.process_cache_key` fingerprints this text,
+        so every instance of one process (the loopback's stages, an
+        unedited pipeline) shares one synthesis artifact, which
+        :func:`repro.lab.incremental.relocate` moves to each instance. It
+        prints everything synthesis consumes -- what
+        :meth:`canonical_text` prints plus the entry block, the scalar
+        declarations, array contents, the id counters, every instruction
+        attribute (coords, latency markers) and the full assertion sites
+        -- with the two things an instance changes abstracted
+        structurally: the function name prints as ``$func`` wherever the
+        header or a site names it, and the source file as ``$file``
+        wherever a site or coord names it. A name or file that merely
+        starts with either prints literally.
+        """
+        try:
+            text = self._shared_reloc
+        except AttributeError:  # not shared: may be rewritten, print anew
+            return self._relocatable_text()
+        if text is None:
+            text = self._shared_reloc = self._relocatable_text()
+        return text
+
+    def _relocatable_text(self) -> str:
+        name, src = self.name, self.source_file
+
+        def site(s: AssertionSite) -> tuple:
+            return (s.ordinal, "$file" if s.file == src else s.file, s.line,
+                    "$func" if s.function == name else s.function,
+                    s.expr_text)
+
+        def attr(key: str, value: object) -> object:
+            if isinstance(value, AssertionSite):
+                return site(value)
+            if key == "coord" and value and value[0] == src:
+                return ("$file", value[1])
+            return value
+
+        parts = [
+            "func $func(" + ", ".join(map(str, self.streams)) + ")",
+            f"  entry {self.entry}",
+            f"  scalars {sorted(self.scalars.items())!r}",
+            f"  temps {sorted(self.temp_names)!r}",
+            f"  ids {self.ids.state()!r}",
+            f"  sites {[site(s) for s in self.assertion_sites]!r}",
+        ]
+        parts += [f"  array {arr!r}" for arr in self.arrays.values()]
+        for block in self.blocks.values():
+            parts.append(f"{block.name}:"
+                         + ("  ; pipeline" if block.pipeline else ""))
+            for i in block.instrs:
+                dests = ", ".join(map(str, i.dests))
+                args = ", ".join(map(str, i.args))
+                attrs = sorted((k, attr(k, v)) for k, v in i.attrs.items())
+                parts.append(f"  {dests} = {i.op.value} {args} {attrs!r}")
+            parts.append(f"  {block.term}")
         return "\n".join(parts)
 
     def __str__(self) -> str:
@@ -177,6 +240,7 @@ class IRFunction:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_shared_text", None)
+        state.pop("_shared_reloc", None)
         return state
 
 

@@ -13,7 +13,8 @@ synthesizing the same design points on every run. This module gives it
   every worker into the session manifest, which is how a warm-cache rerun
   can *prove* it performed zero re-synthesis;
 * :func:`run_synth_bench` — the incremental-synthesis perf bench (cold
-  app vs warm app vs edit-one-process), emitting the same JSON document
+  app vs warm, edit-one-process, rebuild and identical-stage builds),
+  emitting the same JSON document
   shape as :func:`repro.simc.bench.run_bench` so the ``repro bench``
   baseline gate works on both suites unchanged.
 
@@ -113,7 +114,9 @@ REPEATS = 3
 def _bench_synth_app(stages: int) -> list[dict]:
     """Bench one pipeline app through the incremental seam.
 
-    Four legs, each best of :data:`REPEATS` under a fresh cache root:
+    The base app gives every stage its own delta, so its ``stages``
+    processes are distinct and a cold build synthesizes each of them.
+    Five legs, each best of :data:`REPEATS` under a fresh cache root:
 
     * **cold** — empty cache, every process synthesized (the
       denominator: what a non-incremental toolchain pays every time);
@@ -124,22 +127,27 @@ def _bench_synth_app(stages: int) -> list[dict]:
     * **rebuild** — what a warm sweep point pays end to end: rebuild the
       app from source (lowering memo warm), take its :func:`cache_key`
       and resubmit it, every artifact a hit (``synth_rebuild`` speedup =
-      cold / rebuild). The frontend's share of a warm point shows here.
+      cold / rebuild). The frontend's share of a warm point shows here;
+    * **relocate** — a cold build of the same pipeline with identical
+      stages: one process synthesized and relocated to the other
+      ``stages - 1`` (``synth_relocate`` speedup = cold / relocate).
 
-    Before any timing is recorded, the warm, edited and rebuilt images
-    are checked against fresh full resyntheses (resource/timing summary
-    and assertion decode table), mirroring the bit-identity discipline
-    of the simulation bench.
+    Before any timing is recorded, the warm, edited, rebuilt and
+    relocated images are checked against fresh full resyntheses
+    (resource/timing summary and assertion decode table), mirroring the
+    bit-identity discipline of the simulation bench.
     """
     from repro.apps.pipeline import build_pipeline
     from repro.lab.incremental import synthesize_incremental
     from repro.simc.bench import BenchMismatchError
 
     name = f"pipeline{stages}"
-    edited = {stages // 2: 5}
+    distinct = {i: i + 1 for i in range(stages)}
+    # a delta no stage has, so the edit is one new process
+    edited = {**distinct, stages // 2: stages + 1}
 
     def rebuild(cache: SynthesisCache):
-        app = build_pipeline(stages)
+        app = build_pipeline(stages, deltas=distinct)
         cache_key(app, "optimized")
         return synthesize_incremental(app, cache=cache)
 
@@ -149,36 +157,40 @@ def _bench_synth_app(stages: int) -> list[dict]:
                 f"{name}/{leg}: expected {resyntheses} resyntheses, "
                 f"measured {info['resyntheses']}", code="RPR-M006")
 
-    # correctness first: incremental warm/edit output must match a full
-    # resynthesis of the same source
+    # correctness first: incremental warm/edit/relocated output must match
+    # a full resynthesis of the same source
     with tempfile.TemporaryDirectory() as root:
         cache = SynthesisCache(root)
-        _, info = synthesize_incremental(build_pipeline(stages),
-                                         cache=cache)
+        _, info = synthesize_incremental(
+            build_pipeline(stages, deltas=distinct), cache=cache)
         expect(info, stages, "cold")
-        warm_img, info = synthesize_incremental(build_pipeline(stages),
-                                                cache=cache)
+        warm_img, info = synthesize_incremental(
+            build_pipeline(stages, deltas=distinct), cache=cache)
         expect(info, 0, "warm")
         edit_img, info = synthesize_incremental(
             build_pipeline(stages, deltas=edited), cache=cache)
         expect(info, 1, "edit")
         rebuilt_img, info = rebuild(cache)
         expect(info, 0, "rebuild")
-        for img, app in ((warm_img, build_pipeline(stages)),
-                         (edit_img, build_pipeline(stages, deltas=edited)),
-                         (rebuilt_img, build_pipeline(stages))):
-            full = synthesize(app)
-            if _report_signature(img) != _report_signature(full):
-                raise BenchMismatchError(
-                    f"{name}: incremental image diverges from full "
-                    "resynthesis", code="RPR-M007")
+    with tempfile.TemporaryDirectory() as root:
+        relocated_img, info = synthesize_incremental(
+            build_pipeline(stages), cache=SynthesisCache(root))
+        expect(info, 1, "relocate")
+    for img, deltas in ((warm_img, distinct), (edit_img, edited),
+                        (rebuilt_img, distinct), (relocated_img, None)):
+        full = synthesize(build_pipeline(stages, deltas=deltas))
+        if _report_signature(img) != _report_signature(full):
+            raise BenchMismatchError(
+                f"{name}: incremental image diverges from full "
+                "resynthesis", code="RPR-M007")
 
-    # the cold/warm/edit apps are built outside the timed regions: those
-    # legs time synthesis alone (lowered IR is read-only, so one app
-    # serves every leg); the rebuild leg times the app build too
-    base_app = build_pipeline(stages)
+    # the cold/warm/edit/relocate apps are built outside the timed
+    # regions: those legs time synthesis alone (lowered IR is read-only,
+    # so one app serves every leg); the rebuild leg times the app build too
+    base_app = build_pipeline(stages, deltas=distinct)
     edit_app = build_pipeline(stages, deltas=edited)
-    cold_s = warm_s = edit_s = rebuild_s = math.inf
+    same_app = build_pipeline(stages)
+    cold_s = warm_s = edit_s = rebuild_s = relocate_s = math.inf
     for _ in range(REPEATS):
         with tempfile.TemporaryDirectory() as root:
             cache = SynthesisCache(root)
@@ -194,6 +206,11 @@ def _bench_synth_app(stages: int) -> list[dict]:
             t0 = time.perf_counter()
             rebuild(cache)
             rebuild_s = min(rebuild_s, time.perf_counter() - t0)
+        with tempfile.TemporaryDirectory() as root:
+            cache = SynthesisCache(root)
+            t0 = time.perf_counter()
+            synthesize_incremental(same_app, cache=cache)
+            relocate_s = min(relocate_s, time.perf_counter() - t0)
 
     return [
         {
@@ -221,6 +238,15 @@ def _bench_synth_app(stages: int) -> list[dict]:
             "rebuild_s": round(rebuild_s, 6),
             "speedup": round(cold_s / rebuild_s, 3),
         },
+        {
+            "name": name,
+            "kind": "synth_relocate",
+            "processes": stages,
+            "cold_s": round(cold_s, 6),
+            "relocate_s": round(relocate_s, 6),
+            "resyntheses": 1,
+            "speedup": round(cold_s / relocate_s, 3),
+        },
     ]
 
 
@@ -231,7 +257,8 @@ def run_synth_bench(quick: bool = False) -> dict:
     :func:`repro.simc.bench.run_bench` (``schema``/``quick``/``entries``/
     ``geomean_speedup``) so ``compare_bench`` and the committed-baseline
     CI gate apply unchanged; entries are keyed ``(name, kind)`` with
-    kinds ``synth_warm``, ``synth_edit`` and ``synth_rebuild``. Both
+    kinds ``synth_warm``, ``synth_edit``, ``synth_rebuild`` and
+    ``synth_relocate``. Both
     modes time the same legs the same number of times; ``quick`` only
     labels the document.
     """
@@ -253,16 +280,16 @@ def run_synth_bench(quick: bool = False) -> dict:
 def render_synth_bench(doc: dict) -> str:
     """Human-readable table for a :func:`run_synth_bench` document."""
     lines = [
-        "INCREMENTAL SYNTHESIS BENCH (cold vs warm/edit/rebuild)"
+        "INCREMENTAL SYNTHESIS BENCH (cold vs warm/edit/rebuild/relocate)"
         + ("  [quick]" if doc.get("quick") else ""),
-        f"{'name':<12} {'kind':<13} {'procs':>5} "
+        f"{'name':<12} {'kind':<14} {'procs':>5} "
         f"{'cold_s':>9} {'leg_s':>9} {'speedup':>8}",
     ]
     for e in doc["entries"]:
-        leg_s = next(e[k] for k in ("warm_s", "edit_s", "rebuild_s")
-                     if k in e)
+        leg_s = next(e[k] for k in ("warm_s", "edit_s", "rebuild_s",
+                                    "relocate_s") if k in e)
         lines.append(
-            f"{e['name']:<12} {e['kind']:<13} {e['processes']:>5} "
+            f"{e['name']:<12} {e['kind']:<14} {e['processes']:>5} "
             f"{e['cold_s']:>9.4f} {leg_s:>9.4f} "
             f"{e['speedup']:>7.2f}x")
     lines.append(f"geomean speedup: {doc['geomean_speedup']:.2f}x")

@@ -40,7 +40,9 @@ Three entry kinds share the store, in disjoint key namespaces:
   — a few hundred bytes instead of the whole image, resources and Fmax
   report it is computed from;
 * **process-level** entries (:func:`process_cache_key`) memoize one
-  :class:`repro.core.synth.ProcessArtifact`, so editing one process of a
+  relocatable :class:`repro.core.synth.ProcessArtifact`, keyed on the
+  process's IR with its name and source file abstracted, so every
+  instance of one process shares one entry and editing one process of a
   multi-process app rebuilds only that process
   (:mod:`repro.lab.incremental`). Process lookups keep their own
   ``proc_hits``/``proc_misses`` counters so app-level hit-rate assertions
@@ -91,8 +93,9 @@ __all__ = [
 #: bump to invalidate every cached artifact on a format change
 CACHE_SCHEMA = 1
 
-#: bump to invalidate process-level artifacts only
-PROC_SCHEMA = 1
+#: bump to invalidate process-level artifacts only (2: relocatable
+#: artifacts, keyed without the process name or error-code base)
+PROC_SCHEMA = 2
 
 #: a lease older than this is presumed wedged even if its owner pid is
 #: alive (e.g. the owner is stuck in an unrelated syscall) — waiters take
@@ -185,25 +188,28 @@ def summary_key(point_key: str) -> str:
 
 
 def process_cache_key(
-    name: str,
     ir_text: str,
     assertions: str,
     options: SynthesisOptions | None = None,
-    code_base: int = 1,
     device: DeviceModel = EP2S180,
     config: HLSConfig | None = None,
     fault_spec: tuple | None = None,
 ) -> str:
-    """Hex cache key for ONE process's synthesis artifact.
+    """Hex cache key for ONE process's *relocatable* synthesis artifact.
 
-    Keyed on everything :func:`repro.core.synth.synth_process` consumes:
-    the process's canonical IR text (the source), the
+    ``ir_text`` is the process function's
+    :meth:`~repro.ir.function.IRFunction.relocatable_text`: its canonical
+    IR with the function name and source file abstracted. Neither the
+    process name nor the error-code base enters the key, so every
+    instance of one process -- the loopback's 128 stages, an unedited
+    pipeline -- shares one artifact, and
+    :func:`repro.lab.incremental.relocate` moves it to each instance's
+    name, file and code base at assembly time. The rest is everything
+    :func:`repro.core.synth.synth_process` consumes: the
     :meth:`~repro.core.synth.SynthesisOptions.process_key_parts` options
-    slice (app-assembly and execution options are deliberately excluded so
-    artifacts are shared across those variants), the effective assertion
-    level, the error-code base (registry numbering is global and
-    sequential, so a process's codes shift when an *earlier* process gains
-    or loses assertions), the HLS config override, the translation-fault
+    slice (app-assembly and execution options are deliberately excluded
+    so artifacts are shared across those variants), the effective
+    assertion level, the HLS config override, the translation-fault
     tuple, the device model, the package version and the schemas. The
     ``"p"`` prefix keeps the namespace disjoint from app-level keys.
     """
@@ -218,9 +224,7 @@ def process_cache_key(
         assertions,
         options.process_key_parts(),
         repr(device),
-        name,
         ir_text,
-        code_base,
         repr(config),
         repr(tuple(fault_spec)) if fault_spec else None,
     )
@@ -409,10 +413,6 @@ class SynthesisCache:
                 self._count += 1
             if self._count > self.max_entries:
                 self._evict()
-
-    def put_process(self, key: str, artifact) -> None:
-        """Store one process artifact (same atomic path as :meth:`put`)."""
-        self.put(key, artifact)
 
     # ---- fill leases -----------------------------------------------------
 

@@ -8,17 +8,29 @@ only the ones whose key misses, and assemble the image from the artifact
 set. Editing one process of an N-process app costs one process synthesis
 plus assembly instead of N.
 
-Because full and incremental synthesis share the exact same two-phase
-pipeline, their outputs are identical by construction (and pinned
-byte-identical by ``tests/lab/test_incremental.py``).
+Artifacts are *relocatable*: the key abstracts the process's name and
+source file and leaves out its error-code base, so every instance of one
+process (the 128 stages of the paper's Section 5.3 loopback, an unedited
+pipeline) shares one entry. A miss synthesizes the artifact at its
+process's own name with codes from 1 and stores it; a miss and a hit
+alike then pass through :func:`relocate`, which moves the artifact to the
+instance's name, file and code base. :func:`repro.core.synth.synthesize`
+keeps synthesizing every process at its real position, so "incremental =
+full" (pinned by ``tests/lab/test_incremental.py`` and
+``tests/lab/test_relocate.py``) is the proof that relocation is exact.
 
 Each cache miss is filled under a :class:`repro.lab.cache.FillLease`, so
 N workers or runs cold-starting the same point perform exactly one
-synthesis per process while the rest wait and read the filled entries.
+synthesis per distinct process while the rest wait and read the filled
+entries.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+from repro.core.instrument import FAIL_PARAM
+from repro.core.parallelize import CHECK_FAIL_PARAM
 from repro.core.synth import (
     ProcessArtifact,
     SynthesisOptions,
@@ -26,12 +38,14 @@ from repro.core.synth import (
     effective_level,
     synth_process,
 )
+from repro.ir.ops import OpKind
+from repro.ir.values import Const
 from repro.lab.cache import SynthesisCache, process_cache_key
 from repro.platform.device import EP2S180, DeviceModel
 from repro.runtime.hwexec import HardwareImage
 from repro.runtime.taskgraph import Application
 
-__all__ = ["synthesize_incremental"]
+__all__ = ["relocate", "synthesize_incremental"]
 
 
 def synthesize_incremental(
@@ -51,7 +65,9 @@ def synthesize_incremental(
     ``synthesize(app, ...)`` and ``info`` reports the incremental work:
 
     * ``processes``    — FPGA process count;
-    * ``proc_hits``    — artifacts reused from the cache;
+    * ``proc_hits``    — artifacts reused from the cache (a repeated
+      instance of a process synthesized earlier in the same call counts
+      here too);
     * ``proc_misses``  — artifacts synthesized (= ``resyntheses``);
     * ``resyntheses``  — processes actually rebuilt this call;
     * ``partial_rebuild`` — True when the call both reused and rebuilt
@@ -72,14 +88,12 @@ def synthesize_incremental(
         config = (configs or {}).get(pd.name)
         fault_spec = (faults or {}).get(pd.name)
         key = process_cache_key(
-            pd.name, str(pd.func), level, options, code_base,
-            device=device, config=config or pd.config,
-            fault_spec=fault_spec,
+            pd.func.relocatable_text(), level, options, device=device,
+            config=config or pd.config, fault_spec=fault_spec,
         )
 
-        def produce(pd=pd, config=config, fault_spec=fault_spec,
-                    base=code_base):
-            return synth_process(pd, level, options, base,
+        def produce(pd=pd, config=config, fault_spec=fault_spec):
+            return synth_process(pd, level, options, 1,
                                  config=config, fault_spec=fault_spec)
 
         art, filled = cache.get_or_fill_process(key, produce, retry=retry)
@@ -87,7 +101,8 @@ def synthesize_incremental(
             misses += 1
         else:
             hits += 1
-        artifacts[pd.name] = art
+        artifacts[pd.name] = relocate(art, pd.name, pd.func.name,
+                                      pd.func.source_file, code_base)
         code_base += art.n_codes
 
     image = assemble_image(app, artifacts, level, options, nabort=nabort,
@@ -103,3 +118,128 @@ def synthesize_incremental(
         "partial_rebuild": partial,
     }
     return image, info
+
+
+def relocate(art: ProcessArtifact, name: str, function: str, filename: str,
+             code_base: int) -> ProcessArtifact:
+    """Move ``art`` to process ``name`` (C function ``function``, source
+    file ``filename``) with its first error code at ``code_base``.
+
+    Rewrites, in place, every field that carries the process name, the
+    function name, the source file or an error code, and returns ``art``;
+    the result equals :func:`repro.core.synth.synth_process` run at that
+    position. ``art`` must be the caller's own copy (a fresh synthesis or
+    a cache read). The rewrites are structural, never textual:
+
+    * process-owned names -- ``{name}__afail``, the ``{name}__tap*``
+      channels, the ``{name}__chk*`` checkers and their ``__fail`` taps,
+      the ``{name}__lat*`` latency channels -- change their ``{name}__``
+      prefix, so relocating process ``x`` leaves an ``x1__`` name alone;
+    * the function and every assertion site naming it take ``function``;
+    * the function's file, and every site and coord in it, take
+      ``filename``; another file stays;
+    * every error code shifts by the code-base difference: the artifact's
+      ``codes`` and ``plans`` and the code constants the IR writes to a
+      failure stream, found by the stream they write (``__afail`` in the
+      process, ``__cfail`` in a checker), never by value.
+
+    The compiled processes' schedules and bindings hold the functions'
+    instructions or pipeline copies of them; those are rewritten too, and
+    the lazily generated RTL is dropped to rebuild on demand. Objects the
+    artifact shares (a site, a coord, a code constant) stay shared.
+    """
+    old_name, old_func = art.name, art.func.name
+    old_file = art.func.source_file
+    shift = code_base - art.codes[0][0] if art.codes else 0
+    if (old_name, old_func, old_file, shift) == (name, function, filename, 0):
+        return art
+    prefix = f"{old_name}__"
+    # id -> (original, relocated); holding the originals keeps every id
+    # unique for the whole walk
+    seen: dict[int, tuple] = {}
+
+    def once(obj, make):
+        hit = seen.get(id(obj))
+        if hit is None:
+            hit = seen[id(obj)] = (obj, make(obj))
+        return hit[1]
+
+    def owned(s: str | None) -> str | None:
+        if s is not None and s.startswith(prefix):
+            return name + s[len(old_name):]
+        return s
+
+    def site(s):
+        return once(s, lambda s: dataclasses.replace(
+            s, file=filename if s.file == old_file else s.file,
+            function=function if s.function == old_func else s.function))
+
+    def coord(c):
+        return once(c, lambda c: (filename, c[1]) if c[0] == old_file else c)
+
+    def code(c):
+        return once(c, lambda c: Const(c.value + shift, c.ty))
+
+    def instr(i, code_stream: str) -> None:
+        if id(i) in seen:
+            return
+        seen[id(i)] = (i, i)
+        attrs = i.attrs
+        if id(attrs) not in seen:
+            seen[id(attrs)] = (attrs, attrs)
+            if attrs.get("coord"):
+                attrs["coord"] = coord(attrs["coord"])
+            for k in ("assertion", "latency_site"):
+                if k in attrs:
+                    attrs[k] = site(attrs[k])
+            if "channel" in attrs:
+                attrs["channel"] = owned(attrs["channel"])
+        if (shift and i.op is OpKind.STREAM_WRITE
+                and attrs.get("stream") == code_stream):
+            i.args = [code(a) for a in i.args]
+
+    def func(f, new_name: str, code_stream: str) -> None:
+        if id(f) in seen:
+            return
+        seen[id(f)] = (f, f)
+        f.name = new_name
+        if f.source_file == old_file:
+            f.source_file = filename
+        f.assertion_sites = [site(s) for s in f.assertion_sites]
+        for block in f.blocks.values():
+            for i in block.instrs:
+                instr(i, code_stream)
+
+    def compiled(cp, new_name: str, code_stream: str) -> None:
+        func(cp.hw_func, new_name, code_stream)
+        func(cp.schedule.func, new_name, code_stream)
+        for ps in cp.schedule.pipelines.values():
+            for i in ps.instrs:
+                instr(i, code_stream)
+        for fu in cp.binding.fus:
+            for op in fu.ops:
+                instr(op.instr, code_stream)
+        cp._rtl = None
+
+    func(art.func, function, FAIL_PARAM)
+    compiled(art.compiled, function, FAIL_PARAM)
+    for plan in art.plans:
+        func(plan.checker, owned(plan.checker.name), CHECK_FAIL_PARAM)
+        plan.tap_channel = owned(plan.tap_channel)
+        plan.fail_tap = owned(plan.fail_tap)
+        plan.app_process = name
+        plan.site = site(plan.site)
+        plan.code += shift
+    for cname, cp in art.compiled_checkers.items():
+        compiled(cp, owned(cname), CHECK_FAIL_PARAM)
+    art.compiled_checkers = {
+        owned(cname): cp for cname, cp in art.compiled_checkers.items()}
+    art.codes = [(c + shift, site(s)) for c, s in art.codes]
+    art.fail_stream = owned(art.fail_stream)
+    for region in art.latency_regions:
+        region.process = name
+        region.start_channel = owned(region.start_channel)
+        region.end_channel = owned(region.end_channel)
+        region.site = site(region.site)
+    art.name = name
+    return art

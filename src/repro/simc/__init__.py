@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.errors import SimCompileError
 from repro.hls.cyclemodel import ProcessExec
 
-from .codecache import cached_source, clear_memo, compile_source, memo_stats
+from .codecache import cached_source, clear_memo, compile_source
 from .schedgen import (
     CompiledProcessExec,
     generate_sched_source,
@@ -42,7 +42,6 @@ __all__ = [
     "fallback_diagnostic",
     "generate_sched_source",
     "make_process_exec",
-    "memo_stats",
     "resolve_backend",
     "sched_exec_source",
 ]

@@ -20,13 +20,11 @@ hits and one ``exec`` of an already-compiled code object.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.utils.idgen import stable_fingerprint
 
-__all__ = ["MemoStats", "cached_source", "compile_source", "clear_memo",
-           "memo_stats"]
+__all__ = ["cached_source", "compile_source", "clear_memo"]
 
 #: bump to invalidate every cached generated source on a codegen change
 CODEGEN_SCHEMA = 3
@@ -35,38 +33,10 @@ _SOURCE_MEMO: dict[str, str] = {}
 _CODE_MEMO: dict[tuple[str, str], object] = {}
 
 
-@dataclass
-class MemoStats:
-    """In-process memo counters: across repeated jobs in one process the
-    hit counts rise while the miss counts stay flat."""
-
-    source_hits: int = 0
-    source_misses: int = 0
-    code_hits: int = 0
-    code_misses: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "source_hits": self.source_hits,
-            "source_misses": self.source_misses,
-            "code_hits": self.code_hits,
-            "code_misses": self.code_misses,
-        }
-
-    def reset(self) -> None:
-        self.source_hits = self.source_misses = 0
-        self.code_hits = self.code_misses = 0
-
-
-#: process-wide counters (reset alongside the memos by :func:`clear_memo`)
-memo_stats = MemoStats()
-
-
 def clear_memo() -> None:
     """Drop the in-process memos (tests exercise cold codegen with this)."""
     _SOURCE_MEMO.clear()
     _CODE_MEMO.clear()
-    memo_stats.reset()
 
 
 def _default_cache():
@@ -99,9 +69,7 @@ def cached_source(
     key = f"simc-sched-{fp:016x}"
     src = _SOURCE_MEMO.get(key)
     if src is not None:
-        memo_stats.source_hits += 1
         return src
-    memo_stats.source_misses += 1
     if cache is None:
         cache = _default_cache()
     if cache is not None and cache.enabled:
@@ -121,9 +89,6 @@ def compile_source(source: str, filename: str):
     key = (filename, source)
     code = _CODE_MEMO.get(key)
     if code is None:
-        memo_stats.code_misses += 1
         code = compile(source, filename, "exec")
         _CODE_MEMO[key] = code
-    else:
-        memo_stats.code_hits += 1
     return code

@@ -47,6 +47,11 @@ class IdGenerator:
         self._reserved.add(name)
         return name
 
+    def state(self) -> tuple:
+        """Everything that decides the names ``next()`` emits from here
+        on, in a deterministic order (for content fingerprints)."""
+        return (sorted(self._counters.items()), sorted(self._reserved))
+
 
 def stable_fingerprint(*parts: object) -> int:
     """64-bit deterministic hash of the stringified parts.

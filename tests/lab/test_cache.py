@@ -87,54 +87,57 @@ def test_every_options_field_declares_a_key_scope():
         ("parallelize", True), ("replicate", True), ("share", True))
 
 
-#: (app key, process keys...) per app/level/options, recorded before the
-#: option key scopes moved into field metadata and lowered IR became
-#: shared; refactors must not move them. A deliberate key change (the
-#: package version, CACHE_SCHEMA or PROC_SCHEMA) re-records them.
+#: (app key, process keys...) per app/level/options. The app keys were
+#: recorded before the option key scopes moved into field metadata and
+#: lowered IR became shared; the process keys were re-recorded at
+#: PROC_SCHEMA 2, when they stopped hashing the process name and code
+#: base (so the loopback's four stages share one key per level).
+#: Refactors must not move them. A deliberate key change (the package
+#: version, CACHE_SCHEMA or PROC_SCHEMA) re-records them.
 PINNED_KEYS = {
     "loopback4/none/default": (
         "ec910ccd0c0d992f",
-        "p674e25be31a4befa",
-        "p2e9ff707cc181dba",
-        "p249140839baff76a",
-        "p56625128b73ff05d",
+        "p93cf80567b943a44",
+        "p93cf80567b943a44",
+        "p93cf80567b943a44",
+        "p93cf80567b943a44",
     ),
     "loopback4/unoptimized/default": (
         "03c9d748ca41d0be",
-        "p62b8bb944a913cc8",
-        "p9dad1e127b1f08b8",
-        "pea20d14d8abdbf62",
-        "pc26978154c82c4b6",
+        "p715f8124b133636e",
+        "p715f8124b133636e",
+        "p715f8124b133636e",
+        "p715f8124b133636e",
     ),
     "loopback4/optimized/default": (
         "6e54ff3e92f7f93f",
-        "paaad2cdf9e0e7b3",
-        "p2148c16dc499a9e7",
-        "p8345f9955d344d42",
-        "p164b042530f20d5f",
+        "pd6ae1d73fa344fb9",
+        "pd6ae1d73fa344fb9",
+        "pd6ae1d73fa344fb9",
+        "pd6ae1d73fa344fb9",
     ),
     "loopback4/optimized/noshare": (
         "b94f2281b64b259b",
-        "p2e338b9d99422446",
-        "p7ed4c88519d217fd",
-        "pbd01ab1b952618d7",
-        "pbd7d9ca6aa2cc22e",
+        "pc1daefad32ec8bc9",
+        "pc1daefad32ec8bc9",
+        "pc1daefad32ec8bc9",
+        "pc1daefad32ec8bc9",
     ),
     "tripledes/none/default": (
         "267a883b4737a700",
-        "p8dca8f5381a635db",
+        "pa4ad4e882dbbb6f8",
     ),
     "tripledes/unoptimized/default": (
         "c1eccbdf4037bd70",
-        "p63ac7b5beda6b902",
+        "pf249b5ca11c223c3",
     ),
     "tripledes/optimized/default": (
         "0c0c1c202b286ffa",
-        "p4b4a1228abb15f87",
+        "p3098cae139650a61",
     ),
     "tripledes/optimized/noshare": (
         "ed459292362f5858",
-        "pacd5cf2b79453981",
+        "p3e1cfff2589aa3ec",
     ),
 }
 
@@ -155,9 +158,9 @@ def test_app_and_process_keys_are_pinned():
                     continue
                 got[f"{app.name}/{level}/{tag}"] = (
                     cache_key(app, level, opts),
-                    *(process_cache_key(pd.name, str(pd.func), level, opts,
-                                        1 + 10 * i)
-                      for i, pd in enumerate(app.fpga_processes())))
+                    *(process_cache_key(pd.func.relocatable_text(), level,
+                                        opts)
+                      for pd in app.fpga_processes()))
     assert got == PINNED_KEYS
 
 

@@ -96,15 +96,16 @@ def test_sweep_completes_and_journal_matches(tmp_path):
     assert result.ok
     m = result.manifest
     assert m["status"] == "completed"
-    # per-process incremental accounting: loopback(n=2) cold-fills both
-    # stage artifacts at each level (4 resyntheses); loopback(n=3) then
-    # reuses stage0/stage1 (identical IR + code base) and rebuilds only
-    # stage2 — a partial rebuild per level
+    # per-process incremental accounting: every loopback stage is one
+    # process up to relocation, so loopback(n=2) synthesizes stage0 and
+    # relocates it to stage1 at each level (2 resyntheses, 2 hits, a
+    # partial rebuild per level); loopback(n=3) then relocates that one
+    # artifact to all three stages (6 hits)
     assert m["counters"] == {
         "total": 4, "skipped_resume": 0, "done": 4, "failed": 0,
         "retried": 0, "cache_hits": 0, "cache_misses": 4,
         "cache_corrupt": 0, "journal_corrupt": 0,
-        "resyntheses": 6, "proc_hits": 4, "proc_misses": 6,
+        "resyntheses": 2, "proc_hits": 8, "proc_misses": 2,
         "partial_rebuilds": 2, "lease_waits": 0, "lease_takeovers": 0,
     }
     assert m["wall_time_s"] >= 0
@@ -278,9 +279,10 @@ def test_sweep_point_and_bench_synth_keep_their_payload_shapes(
 
 def test_image_rebuilds_from_the_process_entries_a_cold_point_left(
         tmp_path):
-    """A cold point stores only its summary, plus one entry per process.
-    Those entries alone rebuild the image: no resynthesis, three process
-    hits, and the rebuilt image runs exactly like a fresh synthesis."""
+    """A cold point stores only its summary, plus one entry per distinct
+    process (the loopback's three stages are one). That entry alone
+    rebuilds the image: no resynthesis, three process hits, and the
+    rebuilt image runs exactly like a fresh synthesis."""
     from repro.apps.loopback import build_loopback
     from repro.core.synth import synthesize
     from repro.lab.incremental import synthesize_incremental
@@ -290,7 +292,7 @@ def test_image_rebuilds_from_the_process_entries_a_cold_point_left(
     point = SweepPoint(point_id="p", app=AppSpec.make("loopback", n=3),
                        level="optimized")
     cold = evaluate_point_cached(point, SynthesisCache(tmp_path / "c"))
-    assert cold["cache_hit"] is False and cold["resyntheses"] == 3
+    assert cold["cache_hit"] is False and cold["resyntheses"] == 1
     cache = SynthesisCache(tmp_path / "c")
     image, info = synthesize_incremental(
         build_app(point.app), point.level, options=point.options,
@@ -401,12 +403,14 @@ def test_sweep_summary_shape_and_record_order():
 
 
 def _cli_sweep(tmp_path, name, cache):
-    """A ``python -m repro sweep --json`` process for one pipeline point."""
+    """A ``python -m repro sweep --json`` process for one pipeline point
+    whose six stages are six distinct processes (one delta each)."""
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "sweep", "--name", name,
-         "--apps", "pipeline:6", "--levels", "optimized", "--json",
+         "--apps", "pipeline:6@0=1@1=2@2=3@3=4@4=5@5=6",
+         "--levels", "optimized", "--json",
          "--store", str(tmp_path / "runs"), "--cache", str(tmp_path / cache)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
 

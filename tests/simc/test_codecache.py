@@ -142,45 +142,64 @@ def test_cached_construction_still_executes_correctly(tmp_path, cp):
     assert cache.stats.hits >= 1
 
 
-def test_memo_stats_rise_across_repeated_jobs(tmp_path, cp):
-    """Warm-process observability: repeated identical jobs in one
-    process raise the memo hit counters while misses stay flat."""
-    from repro.simc import memo_stats
+@pytest.fixture
+def generations(monkeypatch):
+    """Counts source generations: the memo's misses."""
+    import repro.simc.schedgen as schedgen
 
+    calls = []
+    real = schedgen.generate_sched_source
+
+    def counting(fsched):
+        calls.append(fsched)
+        return real(fsched)
+
+    monkeypatch.setattr(schedgen, "generate_sched_source", counting)
+    return calls
+
+
+def test_memo_stats_rise_across_repeated_jobs(tmp_path, cp, generations):
+    """Warm-process reuse: repeated identical jobs in one process
+    generate the source once and never again."""
     cache = SynthesisCache(tmp_path / "c")
-    sched_exec_source(cp.schedule, cache=cache)
-    assert memo_stats.source_misses == 1
-    assert memo_stats.source_hits == 0
-    for expect_hits in (1, 2, 3):
-        sched_exec_source(cp.schedule, cache=cache)
-        assert memo_stats.source_hits == expect_hits
-    assert memo_stats.source_misses == 1  # never regenerated
+    first = sched_exec_source(cp.schedule, cache=cache)
+    assert len(generations) == 1
+    for _ in range(3):
+        assert sched_exec_source(cp.schedule, cache=cache) == first
+    assert len(generations) == 1  # never regenerated
 
 
-def test_code_memo_counters_track_compiles(tmp_path, cp):
-    from repro.simc import memo_stats
-    from repro.simc.codecache import compile_source
+def test_code_memo_counters_track_compiles(tmp_path, cp, monkeypatch):
+    """One ``compile()`` per distinct source, however often it is asked
+    for."""
+    import repro.simc.codecache as codecache
 
+    compiles = []
+
+    def counting(source, filename, mode):
+        compiles.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(codecache, "compile", counting, raising=False)
     src = sched_exec_source(cp.schedule,
                             cache=SynthesisCache(tmp_path / "c"))
-    compile_source(src, "<gen>")
-    assert memo_stats.code_misses == 1 and memo_stats.code_hits == 0
-    compile_source(src, "<gen>")
-    compile_source(src, "<gen>")
-    assert memo_stats.code_misses == 1 and memo_stats.code_hits == 2
+    code = codecache.compile_source(src, "<gen>")
+    assert len(compiles) == 1
+    assert codecache.compile_source(src, "<gen>") is code
+    assert codecache.compile_source(src, "<gen>") is code
+    assert len(compiles) == 1
 
 
-def test_clear_memo_resets_stats(tmp_path, cp):
-    from repro.simc import memo_stats
-
-    sched_exec_source(cp.schedule, cache=SynthesisCache(tmp_path / "c"))
-    assert memo_stats.as_dict() != {
-        "source_hits": 0, "source_misses": 0,
-        "code_hits": 0, "code_misses": 0}
+def test_clear_memo_forces_regeneration(cp, generations):
+    """Without a disk cache, a job after :func:`clear_memo` generates the
+    source again (the cold-codegen state tests rely on)."""
+    off = SynthesisCache(None)
+    sched_exec_source(cp.schedule, cache=off)
+    sched_exec_source(cp.schedule, cache=off)
+    assert len(generations) == 1
     clear_memo()
-    assert memo_stats.as_dict() == {
-        "source_hits": 0, "source_misses": 0,
-        "code_hits": 0, "code_misses": 0}
+    sched_exec_source(cp.schedule, cache=off)
+    assert len(generations) == 2
 
 
 def test_memo_safe_under_concurrent_codegen(tmp_path, cp):
