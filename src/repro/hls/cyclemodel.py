@@ -125,6 +125,20 @@ _STREAMLIKE = (OpKind.STREAM_READ, OpKind.STREAM_WRITE, OpKind.STREAM_CLOSE,
                OpKind.TAP_READ)
 
 
+def _images(fsched: FunctionSchedule) -> dict[str, list[int]]:
+    """Every array's initial memory image, built once per schedule and
+    copied for each run."""
+    memo = fsched.memo()
+    images = memo.get("images")
+    if images is None:
+        images = memo["images"] = {}
+        for name, arr in fsched.func.arrays.items():
+            image = images[name] = [0] * arr.size
+            for i, v in enumerate(arr.init or ()):
+                image[i] = truncate(v, arr.elem.width)
+    return images
+
+
 class ProcessExec:
     """Executes one scheduled process cycle by cycle.
 
@@ -155,12 +169,8 @@ class ProcessExec:
             raise SimulationError(f"{self.name}: unbound streams {missing}", code="RPR-X202")
 
         self.env: dict[str, int] = {n: 0 for n in self.func.scalars}
-        self.memories: dict[str, list[int]] = {}
-        for arr_name, arr in self.func.arrays.items():
-            image = [0] * arr.size
-            for i, v in enumerate(arr.init or ()):
-                image[i] = truncate(v, arr.elem.width)
-            self.memories[arr_name] = image
+        self.memories: dict[str, list[int]] = {
+            name: list(image) for name, image in _images(fsched).items()}
 
         self.mode = "seq"
         self.block = self.func.entry

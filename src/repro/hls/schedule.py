@@ -153,6 +153,21 @@ class FunctionSchedule:
     def block_latency(self, name: str) -> int:
         return self.blocks[name].length
 
+    def memo(self) -> dict:
+        """What the simulators derive from this schedule once and reuse
+        for every run: a compiled schedule is never modified. Pickling
+        drops it."""
+        try:
+            return self._memo
+        except AttributeError:
+            self._memo = {}
+            return self._memo
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_memo", None)
+        return state
+
 
 def schedule_function(
     func: IRFunction, cfg: ScheduleConfig | None = None

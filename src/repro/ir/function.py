@@ -161,9 +161,12 @@ class IRFunction:
             + ", ".join(map(str, self.streams))
             + ")"
         )
+        # ``repr`` prints an array's contents and ``const``, and each site
+        # its message text: the instruction printer shows neither
         parts = [header]
-        for arr in self.arrays.values():
-            parts.append(f"  array {arr}")
+        parts += [f"  array {arr!r}" for arr in self.arrays.values()]
+        sites = [(s.ordinal, s.expr_text) for s in self.assertion_sites]
+        parts.append(f"  sites {sites!r}")
         for block in self.blocks.values():
             parts.append(str(block))
         return "\n".join(parts)

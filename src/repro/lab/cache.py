@@ -90,8 +90,10 @@ __all__ = [
     "summary_key",
 ]
 
-#: bump to invalidate every cached artifact on a format change
-CACHE_SCHEMA = 1
+#: bump to invalidate every cached artifact on a format change (2: the
+#: canonical IR text behind app keys prints array contents and assertion
+#: message text)
+CACHE_SCHEMA = 2
 
 #: bump to invalidate process-level artifacts only (2: relocatable
 #: artifacts, keyed without the process name or error-code base)
@@ -119,10 +121,11 @@ def app_key_parts(app) -> list[object]:
     """Canonical, content-only description of an Application.
 
     Includes everything synthesis consumes: per-process IR text (which
-    changes whenever the C source changes), HLS configs, stream/tap wiring,
-    feeder data and the abort mode. Iteration order is sorted so dict
-    insertion order cannot leak into the key. A function lowered through
-    the frontend memo prints its text once per interpreter (see
+    changes whenever the C source changes, array contents and assertion
+    message text included), HLS configs, stream/tap wiring, feeder data
+    and the abort mode. Iteration order is sorted so dict insertion order
+    cannot leak into the key. A function lowered through the frontend
+    memo prints its text once per interpreter (see
     :meth:`repro.ir.function.IRFunction.mark_shared`).
     """
     parts: list[object] = [app.name, app.nabort]

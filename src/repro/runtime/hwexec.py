@@ -32,9 +32,11 @@ the previous cycle, the next cycles can only repeat it: every stalled
 process stalls again without changing state. So the active process
 runs its quiet (channel-free) steps back to back, one call per cycle:
 each quiet step function returns the next one, resolved when the
-schedule was compiled. The cycle, fault-clock, watchdog and stall
-counters of the rest of the system are advanced by the stretch's length
-in bulk. A stretch stops before the cycle budget, before the livelock
+schedule was compiled, and a quiet inner loop (the DES rounds' bit
+permutations) runs whole iterations in one call over Python locals,
+counting a cycle per step and stopping at the budget. The cycle,
+fault-clock, watchdog and stall counters of the rest of the system are
+advanced by the stretch's length in bulk. A stretch stops before the cycle budget, before the livelock
 window fires, and before any fault's next time edge
 (:meth:`RuntimeFault.next_edge`), so ``HwResult`` is byte-identical to
 ticking every cycle. The interpreter backend always ticks every cycle

@@ -27,14 +27,20 @@ from repro.utils.idgen import stable_fingerprint
 __all__ = ["cached_source", "compile_source", "clear_memo"]
 
 #: bump to invalidate every cached generated source on a codegen change
-CODEGEN_SCHEMA = 3
+CODEGEN_SCHEMA = 4
 
 _SOURCE_MEMO: dict[str, str] = {}
 _CODE_MEMO: dict[tuple[str, str], object] = {}
 
+#: bumped by :func:`clear_memo`; a per-schedule executor template built
+#: under an older value is stale
+generation = 0
+
 
 def clear_memo() -> None:
     """Drop the in-process memos (tests exercise cold codegen with this)."""
+    global generation
+    generation += 1
     _SOURCE_MEMO.clear()
     _CODE_MEMO.clear()
 

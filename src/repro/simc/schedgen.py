@@ -17,7 +17,13 @@ overlay-passing function (stage-register semantics via the same
 per-block tick function replays ``_tick_pipe``'s initiation / squash /
 drain protocol with the per-stage instruction lists resolved at compile
 time. Any block the codegen skipped falls back to the interpreted path
-mid-run. Everything observable (``env`` contents, stall/cycle counters,
+mid-run.
+
+A quiet loop (a header whose ``Branch`` is the only exit, a ``Jump``
+chain back to it, every step channel-free) also compiles to one function
+that keeps the loop's scalars in Python locals and runs whole iterations
+for :meth:`CompiledProcessExec.run_quiet`, counting one cycle per step;
+the per-step functions stay for ``tick`` and for entry mid-loop. Everything observable (``env`` contents, stall/cycle counters,
 ``stream_ops``, channel stats, watchdog/fault hooks including
 ``upset_register``) is shared with the base class, which is what lets the
 difftest lockstep oracle compare the two backends cycle by cycle.
@@ -35,6 +41,7 @@ from repro.ir.ops import OpKind
 from repro.ir.values import Const, Temp, Value
 from repro.utils.bitops import mask, truncate
 
+from . import codecache
 from .codecache import cached_source, compile_source
 
 __all__ = ["CompiledProcessExec", "generate_sched_source",
@@ -121,6 +128,10 @@ class _SchedCompiler:
         #: sequential block -> per step, its function's name when the step
         #: is quiet, else "None": the quiet table ``_build`` returns
         self.quiet: dict[str, list[str]] = {}
+        #: when set (fused-loop codegen), scalar -> the Python local that
+        #: holds it for the whole loop, and the scalars the loop writes
+        self.loc: dict[str, str] | None = None
+        self.wrote: set[str] = set()
 
     # ---- operands -------------------------------------------------------------
 
@@ -128,6 +139,8 @@ class _SchedCompiler:
         if isinstance(v, Const):
             return _Opnd(None, v.ty, v.value)
         if isinstance(v, Temp):
+            if self.loc is not None:
+                return _Opnd(self._local(v.name), v.ty, None)
             if self.ov is not None:
                 n = v.name
                 return _Opnd(
@@ -136,6 +149,12 @@ class _SchedCompiler:
             return _Opnd(f"E[{v.name!r}]", v.ty, None)
         raise SimCompileError(
             f"{self.name}: bad operand {v!r}", code="RPR-K020")
+
+    def _local(self, name: str) -> str:
+        local = self.loc.get(name)
+        if local is None:
+            local = self.loc[name] = f"_v{len(self.loc)}"
+        return local
 
     def chan(self, instr: Instr) -> str:
         if "stream" in instr.attrs:
@@ -210,7 +229,10 @@ class _SchedCompiler:
             rhs = src
         else:
             rhs = f"{src} & {hex(mask(dest.ty.width))}"
-        if self.ov is None:
+        if self.loc is not None:
+            self.wrote.add(dest.name)
+            em.put(f"{self._local(dest.name)} = {rhs}")
+        elif self.ov is None:
             em.put(f"E[{dest.name!r}] = {rhs}")
         else:
             v = em.fresh()
@@ -220,7 +242,10 @@ class _SchedCompiler:
 
     def _store_lit(self, em: _Emitter, dest: Temp, value: int) -> None:
         lit = truncate(value, dest.ty.width)
-        if self.ov is None:
+        if self.loc is not None:
+            self.wrote.add(dest.name)
+            em.put(f"{self._local(dest.name)} = {lit}")
+        elif self.ov is None:
             em.put(f"E[{dest.name!r}] = {lit}")
         else:
             em.put(f"{self.ov}[{dest.name!r}] = {lit}")
@@ -539,21 +564,26 @@ class _SchedCompiler:
 
     # ---- step functions ---------------------------------------------------------
 
-    def _is_quiet(self, block_name: str, step: int) -> bool:
-        """A quiet step touches no channel and does not return."""
+    def _instrs(self, block_name: str, step: int) -> list[Instr]:
         bs = self.fsched.blocks[block_name]
         block = self.func.blocks[block_name]
-        if step + 1 >= bs.length and isinstance(block.term, Return):
-            return False
         indices = bs.steps[step] if step < len(bs.steps) else ()
-        return not any(block.instrs[i].op in _LOUD for i in indices)
+        return [block.instrs[i] for i in indices]
+
+    def _is_quiet(self, block_name: str, step: int) -> bool:
+        """A quiet step touches no channel and does not return."""
+        if (step + 1 >= self.fsched.blocks[block_name].length
+                and isinstance(self.func.blocks[block_name].term, Return)):
+            return False
+        return not any(i.op in _LOUD for i in self._instrs(block_name, step))
 
     def _enter(self, em: _Emitter, target: str, quiet: bool,
-               step: int | None = None) -> None:
+               step: int | None = None) -> str:
         """:meth:`ProcessExec._enter_block`, inlined for a sequential
-        target; a quiet step then returns the target's first quiet step.
-        ``step`` is the index the interpreter leaves behind before it
-        enters a pipelined block (None when leaving a pipeline)."""
+        target; a quiet step then returns the target's first quiet step,
+        whose name this returns either way. ``step`` is the index the
+        interpreter leaves behind before it enters a pipelined block
+        (None when leaving a pipeline)."""
         nxt = "None"
         if target in self.fsched.pipelines:
             if step is not None:
@@ -567,6 +597,7 @@ class _SchedCompiler:
             nxt = self.quiet.get(target, ("None",))[0]
         if quiet:
             em.put(f"return {nxt}")
+        return nxt
 
     def step_fn(self, em: _Emitter, fid: int, block_name: str,
                 step: int) -> str:
@@ -575,8 +606,7 @@ class _SchedCompiler:
         when the next step is loud, pipelined or interpreted."""
         bs = self.fsched.blocks[block_name]
         block = self.func.blocks[block_name]
-        indices = bs.steps[step] if step < len(bs.steps) else []
-        instrs = [block.instrs[i] for i in indices]
+        instrs = self._instrs(block_name, step)
         quiet = self.quiet[block_name][step] != "None"
         fname = f"_f{fid}"
         em.put(f"def {fname}():")
@@ -620,6 +650,85 @@ class _SchedCompiler:
         em.indent -= 1
         em.put("")
         return fname
+
+    # ---- fused quiet loops ------------------------------------------------------
+
+    def _quiet_loop(self, header: str) -> tuple[list[str], bool] | None:
+        """The blocks of the loop ``header`` heads, header first, and
+        whether a true branch stays in it; None unless the header ends in
+        the loop's only exit ``Branch``, the other blocks form one ``Jump``
+        chain back to the header and every step of them is quiet."""
+        term = self.func.blocks[header].term
+        if not isinstance(term, Branch) or isinstance(term.cond, Const):
+            return None
+        for b, stay in ((term.iftrue, True), (term.iffalse, False)):
+            chain = [header]
+            while (b in self.quiet and b not in chain
+                   and isinstance(self.func.blocks[b].term, Jump)):
+                chain.append(b)
+                b = self.func.blocks[b].term.target
+            if b == header and all("None" not in self.quiet[c]
+                                   for c in chain):
+                return chain, stay
+        return None
+
+    def loop_fn(self, em: _Emitter, lid: int, chain: list[str],
+                stay: bool) -> str | None:
+        """One quiet loop as a single function of a cycle budget ``n``,
+        entered at the header's step 0: its scalars live in Python locals
+        and whole iterations run inside ``while True``, one cycle per
+        step. It stops at the loop exit or when the budget runs out at a
+        step boundary, writes back every scalar the loop wrote, leaves
+        ``P.block``/``P.step`` where ``n`` ticks would, and returns the
+        cycles it ran and the next quiet step (None at the budget).
+        Returns the name of that exit successor ("None" when it is loud),
+        or None, emitting nothing, when the loop names an undeclared
+        scalar."""
+        header = chain[0]
+        term = self.func.blocks[header].term
+        pos = [(b, s) for b in chain for s in range(len(self.quiet[b]))]
+        last = len(self.quiet[header]) - 1
+        body = _Emitter()
+        body.indent = em.indent + 2
+        self.loc, self.wrote = {}, set()
+        try:
+            for k, (b, s) in enumerate(pos):
+                body.put(f"# {b}[{s}]")
+                for instr in self._instrs(b, s):
+                    self.exec_instr(body, instr)
+                body.put("m -= 1")
+                if k == last:
+                    cond = self.opnd(term.cond).src
+                    body.put(f"if {'not ' if stay else ''}{cond}: break")
+                body.put(f"if not m: k = {(k + 1) % len(pos)}; break")
+            names, wrote = self.loc, self.wrote
+        finally:
+            self.loc = None
+        if not names.keys() <= self.func.scalars.keys():
+            return None
+        em.put(f"def _L{lid}(n):")
+        em.indent += 1
+        em.put(f"# fused loop {' '.join(chain)}")
+        for name, local in names.items():
+            em.put(f"{local} = E[{name!r}]")
+        em.put("m = n")
+        em.put("k = -1")
+        em.put("while True:")
+        em.lines.extend(body.lines)
+        for name, local in names.items():
+            if name in wrote:
+                em.put(f"E[{name!r}] = {local}")
+        em.put("if k < 0:")
+        em.indent += 1
+        nxt = self._enter(em, term.iffalse if stay else term.iftrue,
+                          False, last + 1)
+        em.put(f"return n - m, {nxt}")
+        em.indent -= 1
+        em.put(f"P.block, P.step = {tuple(pos)!r}[k]")
+        em.put("return n - m, None")
+        em.indent -= 1
+        em.put("")
+        return nxt
 
     # ---- pipelined blocks -------------------------------------------------------
 
@@ -809,6 +918,21 @@ class _SchedCompiler:
                 table[block_name] = [
                     self.step_fn(body, f0 + s, block_name, s)
                     for s in range(len(self.quiet[block_name]))]
+        # fused loops go to a second top-level function, ``_loops``, that
+        # ``_build`` calls with the names they share (see ``_template``)
+        lp = _Emitter()
+        lp.indent = 1
+        loops: list[str] = []
+        shared = dict.fromkeys(["P", "E", "_div", "_mod", "_ext",
+                                *self.mem_locals.values()])
+        for block_name in self.quiet:
+            found = self._quiet_loop(block_name)
+            nxt = found and self.loop_fn(lp, len(loops), *found)
+            if nxt:
+                loops.append(table[block_name][0])
+                shared.update(dict.fromkeys((loops[-1], nxt)))
+        shared.pop("None", None)
+        args = ", ".join(shared)
 
         em = _Emitter()
         em.put(f"# compiled cycle model of process {self.name!r} "
@@ -837,8 +961,14 @@ class _SchedCompiler:
         em.lines.extend(body.lines)
         prows = [f"{name!r}: {fn}" for name, fn in pipe_table.items()]
         em.put(f"return ({_table_src(table)}, {{{', '.join(prows)}}},")
-        em.put(f"        {_table_src(self.quiet)})")
+        em.put(f"        {_table_src(self.quiet)},")
+        em.put(f"        {f'_loops({args})' if loops else '{}'})")
         em.indent -= 1
+        if loops:
+            em.put(f"def _loops({args}):")
+            em.lines.extend(lp.lines)
+            rows = ", ".join(f"{f}: _L{i}" for i, f in enumerate(loops))
+            em.put(f"    return {{{rows}}}")
         return "\n".join(em.lines) + "\n"
 
 
@@ -885,6 +1015,26 @@ def sched_exec_source(fsched: FunctionSchedule, cache=None) -> str:
     )
 
 
+def _template(fsched: FunctionSchedule, cache) -> tuple[str, object]:
+    """``fsched``'s generated source and its exec'd ``_build``, made once
+    per schedule object (a compiled schedule is never modified) until
+    :func:`~repro.simc.codecache.clear_memo`; each run binds ``_build`` to
+    its own state."""
+    memo = fsched.memo()
+    hit = memo.get("build")
+    if hit is not None and hit[0] == codecache.generation:
+        return hit[1:]
+    source = sched_exec_source(fsched, cache=cache)
+    ns = {"__builtins__": {}, "_IDENT": _identity, "_len": len}
+    # the fused loops compile apart: compile() holds about 100 bytes per
+    # source character, so the peak is the larger part's, not the sum's
+    head, sep, tail = source.partition("\ndef _loops(")
+    for part in filter(None, (head, sep + tail)):
+        exec(compile_source(part, f"<simc-sched:{fsched.func.name}>"), ns)
+    memo["build"] = (codecache.generation, source, ns["_build"])
+    return source, ns["_build"]
+
+
 class CompiledProcessExec(ProcessExec):
     """Hybrid :class:`ProcessExec` with blocks compiled to bytecode.
 
@@ -907,14 +1057,10 @@ class CompiledProcessExec(ProcessExec):
         cache=None,
     ) -> None:
         super().__init__(fsched, streams, taps, ext_funcs, name)
-        source = sched_exec_source(fsched, cache=cache)
-        self.source = source
-        code = compile_source(source, f"<simc-sched:{self.func.name}>")
-        ns = {"__builtins__": {}, "_IDENT": _identity, "_len": len}
-        exec(code, ns)
+        self.source, build = _template(fsched, cache)
         try:
-            self._seq_fns, self._pipe_fns, self._quiet_fns = \
-                ns["_build"](self)
+            (self._seq_fns, self._pipe_fns, self._quiet_fns,
+             self._loops) = build(self)
         except KeyError as exc:
             # an unbound tap channel the interpreter would only touch on
             # first use; fall back so the lazier behaviour is preserved
@@ -968,12 +1114,22 @@ class CompiledProcessExec(ProcessExec):
         those cycles in bulk. Every quiet step function returns the next
         one, resolved at codegen time across jumps and branches, so a
         stretch costs one call per cycle; a step whose successor is loud,
-        pipelined or interpreted returns None, which ends the stretch."""
+        pipelined or interpreted returns None, which ends the stretch.
+        Reaching the header of a fused quiet loop hands the rest of the
+        budget to that loop's function, which runs whole iterations over
+        Python locals and returns the cycles it ran and the step to go on
+        with; the stretch then continues from there."""
         fns = self._quiet_fns.get(self.block)
         fn = None if fns is None else fns[self.step]
+        loops = self._loops
         n = 0
         while fn is not None and n < limit:
-            fn = fn()
-            n += 1
+            loop = loops.get(fn)
+            if loop is None:
+                fn = fn()
+                n += 1
+            else:
+                k, fn = loop(limit - n)
+                n += k
         self.cycles += n
         return n

@@ -108,5 +108,6 @@ def test_an_unpickled_function_is_private_and_prints_afresh(memo):
     assert str(copy) == text
     copy.name = "renamed"
     copy.blocks.clear()
-    assert str(copy) == "func renamed(@input/32, @output/32)"
+    assert str(copy) == ("func renamed(@input/32, @output/32)\n"
+                         "  sites [(0, 'x < 100')]")
     assert str(shared) == text

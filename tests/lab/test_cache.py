@@ -87,57 +87,57 @@ def test_every_options_field_declares_a_key_scope():
         ("parallelize", True), ("replicate", True), ("share", True))
 
 
-#: (app key, process keys...) per app/level/options. The app keys were
-#: recorded before the option key scopes moved into field metadata and
-#: lowered IR became shared; the process keys were re-recorded at
-#: PROC_SCHEMA 2, when they stopped hashing the process name and code
-#: base (so the loopback's four stages share one key per level).
-#: Refactors must not move them. A deliberate key change (the package
-#: version, CACHE_SCHEMA or PROC_SCHEMA) re-records them.
+#: (app key, process keys...) per app/level/options, re-recorded at
+#: CACHE_SCHEMA 2, when the canonical IR text behind the app key began
+#: printing array contents and assertion message text. The process keys
+#: stopped hashing the process name and code base at PROC_SCHEMA 2 (so
+#: the loopback's four stages share one key per level). Refactors must
+#: not move them. A deliberate key change (the package version,
+#: CACHE_SCHEMA or PROC_SCHEMA) re-records them.
 PINNED_KEYS = {
     "loopback4/none/default": (
-        "ec910ccd0c0d992f",
-        "p93cf80567b943a44",
-        "p93cf80567b943a44",
-        "p93cf80567b943a44",
-        "p93cf80567b943a44",
+        "a95568379a3f1b54",
+        "p86bf5e7d78de9a09",
+        "p86bf5e7d78de9a09",
+        "p86bf5e7d78de9a09",
+        "p86bf5e7d78de9a09",
     ),
     "loopback4/unoptimized/default": (
-        "03c9d748ca41d0be",
-        "p715f8124b133636e",
-        "p715f8124b133636e",
-        "p715f8124b133636e",
-        "p715f8124b133636e",
+        "b666e8a60dff3671",
+        "p1f2df4fc1e9cf0c8",
+        "p1f2df4fc1e9cf0c8",
+        "p1f2df4fc1e9cf0c8",
+        "p1f2df4fc1e9cf0c8",
     ),
     "loopback4/optimized/default": (
-        "6e54ff3e92f7f93f",
-        "pd6ae1d73fa344fb9",
-        "pd6ae1d73fa344fb9",
-        "pd6ae1d73fa344fb9",
-        "pd6ae1d73fa344fb9",
+        "6197779b09b91476",
+        "pd98afec40c43f587",
+        "pd98afec40c43f587",
+        "pd98afec40c43f587",
+        "pd98afec40c43f587",
     ),
     "loopback4/optimized/noshare": (
-        "b94f2281b64b259b",
-        "pc1daefad32ec8bc9",
-        "pc1daefad32ec8bc9",
-        "pc1daefad32ec8bc9",
-        "pc1daefad32ec8bc9",
+        "46c221c3347e70c7",
+        "p74a5753afc3b564e",
+        "p74a5753afc3b564e",
+        "p74a5753afc3b564e",
+        "p74a5753afc3b564e",
     ),
     "tripledes/none/default": (
-        "267a883b4737a700",
-        "pa4ad4e882dbbb6f8",
+        "e9e76b076d7d98d2",
+        "p41ca7fe631b2a3a3",
     ),
     "tripledes/unoptimized/default": (
-        "c1eccbdf4037bd70",
-        "pf249b5ca11c223c3",
+        "e13f842246cba41f",
+        "p6bedfd1729788579",
     ),
     "tripledes/optimized/default": (
-        "0c0c1c202b286ffa",
-        "p3098cae139650a61",
+        "5cb75f4868bd7d76",
+        "p72ef034e86156177",
     ),
     "tripledes/optimized/noshare": (
-        "ed459292362f5858",
-        "p3e1cfff2589aa3ec",
+        "51c91bc11be85fa5",
+        "pde830d2dbebbc2f8",
     ),
 }
 

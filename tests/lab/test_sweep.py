@@ -436,3 +436,55 @@ def test_concurrent_cli_sweeps_over_one_cache_fill_each_key_once(tmp_path):
     canon = [[canonical_record(r) for r in doc["records"]]
              for doc in (solo, *pair)]
     assert canon[0] == canon[1] == canon[2]
+
+
+# ---- stale-key regression ------------------------------------------------
+
+TABLE_SRC = """
+void p(co_stream input, co_stream output) {
+  const uint32 t[4] = {1, 2, 3, 4};
+  uint32 x;
+  while (co_stream_read(input, &x)) {
+    assert(x < 100);
+    co_stream_write(output, x + t[x & 3]);
+  }
+  co_stream_close(output);
+}
+"""
+
+#: edits synthesis consumes that the instruction printer does not show,
+#: so the app key once missed them: a const table's contents and an
+#: assertion's message text (spelling the constant in hex leaves the
+#: instructions alone; respacing would not change the text at all, as the
+#: frontend prints expressions in one normal form)
+STALE_EDITS = {
+    "const-table": ("{1, 2, 3, 4}", "{9, 2, 3, 4}"),
+    "assert-text": ("x < 100", "x < 0x64"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(STALE_EDITS))
+def test_warm_sweep_resynthesizes_an_edit_the_ir_printer_omits(tmp_path,
+                                                               edit):
+    from repro.lab.cache import cache_key
+
+    old, new = STALE_EDITS[edit]
+    edited = TABLE_SRC.replace(old, new)
+
+    def sweep(source, run):
+        spec = SweepSpec.cross(
+            "stale", [AppSpec.make("csource", source=source, feed=(1, 2))],
+            levels=("optimized",))
+        result = quiet_sweep(spec, tmp_path, store_root=tmp_path / run,
+                             jobs=1)
+        [record] = result.records.values()
+        return record, result.manifest["counters"], spec.points[0]
+
+    first, _, point = sweep(TABLE_SRC, "a")
+    warm, counters, _ = sweep(TABLE_SRC, "b")
+    assert counters["cache_hits"] == 1 and warm["key"] == first["key"]
+    again, counters, edited_point = sweep(edited, "c")
+    assert cache_key(build_app(point.app), "optimized") != \
+        cache_key(build_app(edited_point.app), "optimized")
+    assert again["key"] != first["key"]
+    assert counters["cache_misses"] == 1 and again["cache_hit"] is False

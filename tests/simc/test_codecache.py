@@ -60,7 +60,7 @@ def test_memo_hit_never_touches_the_disk_cache(tmp_path, cp):
 
 def test_codegen_key_is_pinned(cp):
     """The memo / lab-cache key of one schedule: on-disk entries under
-    ``CODEGEN_SCHEMA`` 3 stay reachable only while these bytes hold (the
+    ``CODEGEN_SCHEMA`` 4 stay reachable only while these bytes hold (the
     package version is part of the fingerprint, so a release re-records
     it)."""
     from repro import __version__
@@ -68,7 +68,7 @@ def test_codegen_key_is_pinned(cp):
 
     sched_exec_source(cp.schedule)
     assert __version__ == "1.0.0"
-    assert list(_SOURCE_MEMO) == ["simc-sched-c4c06474960a8dc4"]
+    assert list(_SOURCE_MEMO) == ["simc-sched-8811a66606520e51"]
 
 
 def _first_instr(cp):
@@ -245,15 +245,15 @@ def test_memo_safe_under_concurrent_codegen(tmp_path, cp):
 
 #: sha256 over the scalar generated source of every process of each app at
 #: the ``optimized`` level (processes in name order), recorded with
-#: ``CODEGEN_SCHEMA`` 3 (chained quiet steps): emission must stay
+#: ``CODEGEN_SCHEMA`` 4 (fused quiet loops): emission must stay
 #: byte-identical so on-disk codegen entries under that schema stay valid
 SCALAR_SOURCE_DIGESTS = {
     "loopback:3":
-        "fbaba296199c51f89d8c85644c8d533c69069aa1f6d6436ff97a4c33c1770969",
+        "25ad3d8a2ad4577e8d28747627ad29cf2f5824ea466807ead371ce1b989a500f",
     "edge":
-        "002699e60a56cbd9227028ab14ac819abfb487b567e5d086702dc1ce014fab7e",
+        "202f3bd325e891df037312b89cc8261de91e65d5f4c4e0c818be78b0e35aa5d1",
     "tripledes":
-        "fb18de049b0f480147d8055a935568dd3c0f76cfd4eb716fe7fd733fe7a96ae3",
+        "403cdb29872609dd09cefd90806da3095364edeb10e228ffcb016eea5938b1da",
 }
 
 
@@ -279,7 +279,7 @@ def test_scalar_source_is_byte_identical_to_recorded_digests(app_name):
         sched.update(
             generate_sched_source(image.compiled[name].schedule).encode())
     assert sched.hexdigest() == SCALAR_SOURCE_DIGESTS[app_name]
-    assert CODEGEN_SCHEMA == 3
+    assert CODEGEN_SCHEMA == 4
 
 
 def test_memo_reuse_is_bit_identical_across_jobs(tmp_path, cp):
@@ -292,3 +292,52 @@ def test_memo_reuse_is_bit_identical_across_jobs(tmp_path, cp):
     clear_memo()  # fresh process, same disk cache
     disk = sched_exec_source(cp.schedule, cache=cache)
     assert disk == cold
+
+
+TABLE_SRC = """
+void f(co_stream input, co_stream output) {
+  const uint32 t[4] = {5, 6, 7, 8};
+  uint32 x;
+  while (co_stream_read(input, &x)) { co_stream_write(output, t[x & 3]); }
+  co_stream_close(output);
+}
+"""
+
+
+def test_repeated_builds_of_one_schedule_reuse_its_template(monkeypatch):
+    """The codegen digest, the exec'd ``_build`` and the memory images are
+    made once per schedule object: a second executor re-derives none of
+    them, gets its own copy of every image, and pickling drops them."""
+    import pickle
+
+    import repro.hls.cyclemodel as cyclemodel
+    import repro.simc.schedgen as schedgen
+
+    schedule = compile_one(TABLE_SRC).schedule
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*a, **kw):
+            calls.append(name)
+            return real(*a, **kw)
+        return wrapper
+
+    monkeypatch.setattr(schedgen, "_schedule_digest",
+                        counted("digest", schedgen._schedule_digest))
+    monkeypatch.setattr(cyclemodel, "truncate",
+                        counted("truncate", cyclemodel.truncate))
+
+    def build():
+        return CompiledProcessExec(schedule, {"input": Channel("i"),
+                                              "output": Channel("o")})
+
+    first = build()
+    assert calls.count("digest") == 1 and "truncate" in calls
+    calls.clear()
+    second = build()
+    assert calls == []
+    assert second.memories == first.memories
+    assert second.memories["t"] == [5, 6, 7, 8]
+    second.memories["t"][0] = 9
+    assert first.memories["t"][0] == 5 == build().memories["t"][0]
+    assert "_memo" not in pickle.loads(pickle.dumps(schedule)).__dict__
