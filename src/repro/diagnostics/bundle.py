@@ -191,7 +191,7 @@ def _replay_sweep(bundle: FailureBundle) -> list:
 def _replay_campaign(bundle: FailureBundle) -> list:
     from repro.core.synth import SynthesisOptions
     from repro.faults.campaign import (
-        _run_one,
+        _run_group,
         builtin_targets,
         generate_scenarios,
     )
@@ -218,13 +218,14 @@ def _replay_campaign(bundle: FailureBundle) -> list:
             code="RPR-E014")
     options = SynthesisOptions(**(ctx.get("options") or {})) \
         if ctx.get("options") is not None else None
+    cell = (wanted[0], ctx.get("level", "optimized"))
     try:
-        _run_one((target.watchdog, app, wanted[0],
-                  ctx.get("level", "optimized"), golden,
-                  bool(ctx.get("nabort", False)), options, None))
+        [outcome] = _run_group((target.watchdog, app, [cell], golden,
+                                bool(ctx.get("nabort", False)), options,
+                                None, 1))
     except Exception as exc:
         return diagnostics_from_exception(exc)
-    return []
+    return list(outcome.diagnostics)
 
 
 def _faults_from_context(specs) -> tuple:

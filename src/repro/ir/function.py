@@ -148,13 +148,13 @@ class IRFunction:
     def canonical_text(self) -> str:
         """The canonical printed form of this function.
 
-        This text is the function's *identity* for content addressing:
-        :func:`repro.lab.cache.cache_key` fingerprints it to decide
-        whether a cached synthesized image is still valid, so it must be
-        a pure function of the IR (no ids, memory addresses or
-        interpreter state) and must change whenever anything synthesis
-        consumes changes. Per-process artifacts are keyed on
-        :meth:`relocatable_text` instead.
+        This text is the function's *identity* for a sweep point's
+        summary: :func:`repro.lab.cache.cache_key` fingerprints it, so it
+        must be a pure function of the IR (no ids, memory addresses or
+        interpreter state) and must change whenever anything a point
+        summary reads changes. It leaves out instruction coords, so it
+        keys no synthesized image; per-process artifacts are keyed on
+        :meth:`relocatable_text`, which prints them.
         """
         header = (
             f"func {self.name}("

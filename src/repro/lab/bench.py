@@ -4,8 +4,9 @@ The benchmark suite (``benchmarks/``) regenerates the paper's tables by
 synthesizing the same design points on every run. This module gives it
 
 * :func:`synth` — a drop-in for :func:`repro.core.synth.synthesize` that
-  routes through one process-wide :class:`SynthesisCache` whose location
-  comes from the ``REPRO_LAB_CACHE`` environment variable (exported by
+  reuses per-process artifacts (:mod:`repro.lab.incremental`) from one
+  process-wide :class:`SynthesisCache` whose location comes from the
+  ``REPRO_LAB_CACHE`` environment variable (exported by
   ``benchmarks/conftest.py`` *before* any worker process starts, so pool
   workers inherit it);
 * :func:`call_with_stats` — wraps a worker function so it returns
@@ -63,21 +64,14 @@ def synth(
     options: SynthesisOptions | None = None,
     device: DeviceModel = EP2S180,
 ):
-    """Cache-backed synthesize: returns the image, memoizing it (along
-    with its resource and timing estimates) under the content key."""
-    from repro.platform.resources import estimate_image
-    from repro.platform.timing import estimate_fmax
+    """Synthesize ``app`` through the process-wide cache's per-process
+    artifacts, so a warm rerun assembles every image from cache hits
+    with zero re-synthesis."""
+    from repro.lab.incremental import synthesize_incremental
 
-    cache = session_cache()
-    key = cache_key(app, assertions, options, device)
-    cached = cache.get(key)
-    if cached is not None:
-        image, _resources, _fmax = cached
-        return image
-    image = synthesize(app, assertions=assertions, options=options)
-    resources = estimate_image(image, device)
-    fmax = estimate_fmax(image, device, resources=resources)
-    cache.put(key, (image, resources, fmax))
+    image, _info = synthesize_incremental(
+        app, assertions, options=options, cache=session_cache(),
+        device=device)
     return image
 
 

@@ -4,11 +4,11 @@ The evaluation is a design-space sweep: the same (application, assertion
 level, optimization switches, device) point is synthesized again and again
 across benchmark runs, campaign levels and sweep reruns. The cache keys
 each point by a :func:`stable_fingerprint` over everything that can change
-the result — the canonical IR text of every process (i.e. the source), the
-task-graph wiring, every :class:`SynthesisOptions` field, the assertion
-level, the device model and the package version — and memoizes the
-expensive artifacts (synthesized images, per-process artifacts, and the
-point summaries a sweep journals).
+its summary — the canonical IR text of every process (i.e. the source),
+the task-graph wiring, every :class:`SynthesisOptions` field, the
+assertion level, the device model and the package version — and each
+process by its relocatable IR, and memoizes the expensive artifacts
+(per-process artifacts and the point summaries a sweep journals).
 
 Properties:
 
@@ -30,11 +30,8 @@ Properties:
 * **observable** — hit/miss/store/eviction counters are kept per handle
   and surfaced in sweep manifests and progress lines.
 
-Three entry kinds share the store, in disjoint key namespaces:
+Two synthesis entry kinds share the store, in disjoint key namespaces:
 
-* **app-level** entries (:func:`cache_key`) memoize a synthesized image
-  for the callers that execute or return it (the fault campaign,
-  :func:`repro.lab.bench.synth`);
 * **point-summary** entries (:func:`summary_key`) memoize the flat
   :func:`repro.platform.report.point_summary` dict a sweep point journals
   — a few hundred bytes instead of the whole image, resources and Fmax
@@ -44,9 +41,13 @@ Three entry kinds share the store, in disjoint key namespaces:
   process's IR with its name and source file abstracted, so every
   instance of one process shares one entry and editing one process of a
   multi-process app rebuilds only that process
-  (:mod:`repro.lab.incremental`). Process lookups keep their own
-  ``proc_hits``/``proc_misses`` counters so app-level hit-rate assertions
-  stay meaningful.
+  (:mod:`repro.lab.incremental`). Every caller that needs a whole image
+  (the fault campaign, :func:`repro.lab.bench.synth`) assembles it from
+  these. Process lookups keep their own ``proc_hits``/``proc_misses``
+  counters so point-level hit-rate assertions stay meaningful.
+
+Generated simulator source (:mod:`repro.simc.codecache`) is stored
+alongside under its own ``simc-`` prefix.
 
 **Fill leases** dedupe *concurrent first-touch fills*: the on-disk store
 already dedupes across time (second run hits), but N processes (sweep
@@ -156,13 +157,20 @@ def cache_key(
     assertions: str,
     options: SynthesisOptions | None = None,
     device: DeviceModel = EP2S180,
-    extra: tuple = (),
 ) -> str:
-    """Hex cache key for one synthesis point.
+    """Hex key of one sweep point: what its :func:`summary_key` derives
+    from.
 
     Any change to the source text (via the process IR), any
     ``SynthesisOptions`` field, the assertion level, the device model, the
-    package version or the cache schema produces a different key.
+    package version or the cache schema produces a different key. The IR
+    text is :meth:`~repro.ir.function.IRFunction.canonical_text`, which
+    leaves out instruction coords, so two sources that differ only in
+    line positions share a key. That is why no whole image is stored
+    under it: a translation fault that selects by line builds different
+    images from them. A point summary cannot differ between them: it
+    holds only resource and Fmax estimates, which coords do not reach,
+    and a sweep point carries no translation faults.
     """
     from repro import __version__
 
@@ -174,7 +182,8 @@ def cache_key(
         options.key_parts(),
         repr(device),
         app_key_parts(app),
-        tuple(_stable(e) for e in extra),
+        # a constant empty part, kept so that existing point keys hold
+        (),
     )
     return f"{fp:016x}"
 
@@ -184,8 +193,7 @@ def summary_key(point_key: str) -> str:
 
     Derived from the point's :func:`cache_key`, which already covers every
     input. The ``"s"`` prefix keeps the namespace disjoint from the
-    app-level entries stored under the bare key, so a summary dict and a
-    whole image can never be served for one another.
+    process artifacts and generated sources in the same store.
     """
     return f"s{stable_fingerprint('point-summary', point_key):015x}"
 
@@ -214,7 +222,7 @@ def process_cache_key(
     so artifacts are shared across those variants), the effective
     assertion level, the HLS config override, the translation-fault
     tuple, the device model, the package version and the schemas. The
-    ``"p"`` prefix keeps the namespace disjoint from app-level keys.
+    ``"p"`` prefix keeps the namespace disjoint from the other entries.
     """
     from repro import __version__
 
@@ -248,8 +256,8 @@ class CacheStats:
     #: than silently re-synthesizing forever
     corrupt: int = 0
     #: process-level artifact lookups (kept apart from hits/misses so
-    #: app-level hit-rate assertions are not diluted by the per-process
-    #: lookups an app miss fans out into)
+    #: point-level hit-rate assertions are not diluted by the per-process
+    #: lookups a point miss fans out into)
     proc_hits: int = 0
     proc_misses: int = 0
     #: fill-lease contention: acquires that had to wait on another
@@ -307,7 +315,8 @@ class FillLease:
 
 
 class SynthesisCache:
-    """Pickle-backed artifact store addressed by :func:`cache_key`.
+    """Pickle-backed artifact store addressed by content keys
+    (:func:`summary_key`, :func:`process_cache_key`).
 
     ``root=None`` disables the cache entirely (every ``get`` misses, every
     ``put`` is dropped) so call sites need no conditionals.
@@ -351,7 +360,7 @@ class SynthesisCache:
 
     def get_process(self, key: str):
         """Process-artifact lookup (counts ``proc_hits``/``proc_misses``
-        instead of the app-level hit/miss counters)."""
+        instead of the point-level hit/miss counters)."""
         return self._get(key, "proc_hits", "proc_misses")
 
     def _get(self, key: str, hit_field: str, miss_field: str):

@@ -164,6 +164,26 @@ def test_difftest_bundle_with_unknown_fault_is_rejected(tmp_path):
     assert exc_info.value.code == "RPR-E016"
 
 
+def test_campaign_cell_bundle_replays_bit_identically(tmp_path):
+    """A campaign bundle names a builtin target, seed, scenario and
+    level; replay regenerates that one cell and runs it as a one-cell
+    image group. A cell that measures cleanly replays to no
+    diagnostics."""
+    from repro.faults.campaign import builtin_targets, generate_scenarios
+
+    app = builtin_targets()["loopback"].build()
+    scenario = generate_scenarios(app, seed=7, count=3)[1]
+    path = write_bundle(
+        tmp_path / "b", "campaign", [],
+        context={"target": "loopback", "seed": 7, "count": 3,
+                 "scenario": scenario.name, "level": "optimized",
+                 "nabort": False, "options": None},
+    )
+    result = replay_bundle(path)
+    assert result.ok
+    assert result.diagnostics == []
+
+
 def test_sweep_failure_writes_replayable_bundle_end_to_end(tmp_path):
     from repro.lab.sweep import AppSpec, SweepSpec, run_sweep
 

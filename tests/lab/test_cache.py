@@ -164,12 +164,6 @@ def test_app_and_process_keys_are_pinned():
     assert got == PINNED_KEYS
 
 
-def test_extra_parts_invalidate():
-    app = small_app()
-    assert cache_key(app, "optimized", extra=("campaign", 1)) != \
-        cache_key(app, "optimized", extra=("campaign", 2))
-
-
 def test_feeder_data_is_part_of_the_key():
     a = small_app()
     b = small_app()

@@ -10,7 +10,7 @@ import pytest
 
 import repro.lab.sweep as sweep_mod
 from repro.cli import main
-from repro.lab.cache import SynthesisCache
+from repro.lab.cache import SynthesisCache, cache_key
 from repro.lab.shard import VOLATILE_RECORD_FIELDS, canonical_record
 from repro.lab.sweep import (
     AppSpec,
@@ -252,9 +252,10 @@ def test_cached_records_equal_the_uncached_point_summary(tmp_path, app):
 
 def test_sweep_point_and_bench_synth_keep_their_payload_shapes(
         tmp_path, monkeypatch):
-    """``lab.bench.synth`` stores an image under the bare point key; a
-    sweep point on the same app, level and cache directory must neither
-    read that image nor overwrite it with its summary."""
+    """``lab.bench.synth`` builds images from per-process artifacts and
+    stores nothing under the bare point key: its second call synthesizes
+    no process, and a sweep point on the same app, level and cache
+    directory still misses and then hits its own summary."""
     from repro.lab import bench
     from repro.runtime.hwexec import HardwareImage
 
@@ -265,11 +266,18 @@ def test_sweep_point_and_bench_synth_keep_their_payload_shapes(
                            level="optimized")
         image = bench.synth(build_app(point.app), "optimized")
         assert isinstance(image, HardwareImage)
-        rec = evaluate_point_cached(point, SynthesisCache(tmp_path / "c"))
-        assert rec["cache_hit"] is False  # the image entry is not its key
+        cache = bench.session_cache()
+        assert cache.stats.proc_misses == 1
+        assert not cache._path(cache_key(build_app(point.app),
+                                         "optimized")).exists()
+        before = cache.stats.snapshot()
         again = bench.synth(build_app(point.app), "optimized")
         assert isinstance(again, HardwareImage)
-        assert bench.session_cache().stats.hits == 1
+        delta = cache.stats.delta(before)
+        assert delta["proc_misses"] == 0 and delta["proc_hits"] == 3
+        assert delta["stores"] == 0
+        rec = evaluate_point_cached(point, SynthesisCache(tmp_path / "c"))
+        assert rec["cache_hit"] is False
         warm = evaluate_point_cached(point, SynthesisCache(tmp_path / "c"))
         assert warm["cache_hit"] is True
         assert canonical_record(warm) == canonical_record(rec)
@@ -466,8 +474,6 @@ STALE_EDITS = {
 @pytest.mark.parametrize("edit", sorted(STALE_EDITS))
 def test_warm_sweep_resynthesizes_an_edit_the_ir_printer_omits(tmp_path,
                                                                edit):
-    from repro.lab.cache import cache_key
-
     old, new = STALE_EDITS[edit]
     edited = TABLE_SRC.replace(old, new)
 
