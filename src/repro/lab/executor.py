@@ -181,9 +181,10 @@ class LabExecutor:
     """Runs ``fn(item)`` over many items with crash isolation.
 
     ``jobs <= 1`` runs inline (no subprocesses, no pickling round-trip);
-    ``jobs > 1`` uses a process pool. ``timeout`` bounds the wall time a
-    point may *run* (measured from worker start); ``retry`` is an
-    optional :class:`repro.lab.retry.RetryPolicy`.
+    ``jobs > 1`` uses a process pool, except for a single item without a
+    ``timeout``. ``timeout`` bounds the wall time a point may *run*
+    (measured from worker start) in the pool; ``retry`` is an optional
+    :class:`repro.lab.retry.RetryPolicy`.
     """
 
     #: how many times a spontaneously broken pool is replaced before the
@@ -213,7 +214,8 @@ class LabExecutor:
         order. ``on_result`` is invoked once per point as it resolves."""
         items = list(items)
         self.stats = ExecStats()
-        if self.jobs == 1 or len(items) <= 1:
+        if self.jobs == 1 or not items or (
+                len(items) == 1 and self.timeout is None):
             return self._map_inline(fn, items, on_result)
         return self._map_pool(fn, items, on_result)
 

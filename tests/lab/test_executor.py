@@ -103,6 +103,14 @@ def test_single_item_runs_inline_even_with_jobs():
     assert outcomes == [PointOutcome(index=0, status="ok", value=42)]
 
 
+def test_single_item_with_timeout_runs_in_the_pool():
+    # only a worker process can be killed at its deadline
+    ex = LabExecutor(jobs=2, timeout=1.0)
+    [outcome] = ex.map(slow, [1])
+    assert outcome.status == "timeout"
+    assert ex.stats.timeouts == 1
+
+
 def test_jobs_floor_is_one():
     assert LabExecutor(jobs=0).jobs == 1
     assert LabExecutor(jobs=-3).jobs == 1
