@@ -208,15 +208,16 @@ def cmd_compile(args) -> int:
     from repro.core.synth import synthesize
     from repro.platform.resources import estimate_image
     from repro.platform.timing import estimate_fmax
+    from repro.rtl.verilog import emit_image
 
     app = _build_app(args.source, [])
     image = synthesize(app, assertions=args.assertions,
                        options=_options(args))
     os.makedirs(args.outdir, exist_ok=True)
-    for name, cp in image.compiled.items():
+    for name, verilog in emit_image(image).items():
         path = os.path.join(args.outdir, f"{name}.v")
         with open(path, "w") as fh:
-            fh.write(cp.verilog())
+            fh.write(verilog)
         print(f"wrote {path}")
     res = estimate_image(image)
     fmax = estimate_fmax(image, resources=res)
@@ -737,7 +738,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--sim-backend", default="interp",
                    choices=("interp", "compiled"),
                    help="'compiled' adds the repro.simc compiled cycle "
-                        "model as a strict lockstep leg")
+                        "model as a strict lockstep leg and a "
+                        "quiet-stretch leg")
     _fabric_flags(p)
     p.set_defaults(func=cmd_difftest)
 

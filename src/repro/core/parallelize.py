@@ -45,6 +45,7 @@ class CheckerPlan:
     """One generated checker process and its plumbing."""
 
     checker: IRFunction
+    name: str  # the checker's process name: ``checker.name`` unless placed
     tap_channel: str
     tap_widths: tuple[int, ...]
     app_process: str
@@ -233,6 +234,7 @@ def parallelize_function(
         result.checkers.append(
             CheckerPlan(
                 checker=chk,
+                name=checker_name,
                 tap_channel=tap_channel,
                 tap_widths=tap_widths,
                 app_process=process_name,

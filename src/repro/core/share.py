@@ -46,7 +46,7 @@ def build_collectors(
         decode = FailStreamDecode(mode="bitmask")
         for bit, plan in enumerate(group):
             # failure tap: checker -> collector, 1 bit wide
-            app.add_tap(plan.fail_tap, plan.checker.name, cname, (1,))
+            app.add_tap(plan.fail_tap, plan.name, cname, (1,))
             spec.inputs.append((plan.fail_tap, bit))
             decode.table[bit] = (plan.app_process, plan.site)
         collector = ProcessDef(name=cname, func=None, kind="collector",

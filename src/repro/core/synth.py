@@ -242,7 +242,7 @@ def synth_process(
         cfg = HLSConfig(schedule=cfg.schedule, faults=tuple(fault_spec))
     compiled = compile_process(func, cfg)
     compiled_checkers = {
-        plan.checker.name: compile_process(plan.checker, HLSConfig())
+        plan.name: compile_process(plan.checker, HLSConfig())
         for plan in plans
     }
     return ProcessArtifact(
@@ -344,17 +344,17 @@ def assemble_image(
             for plan in group:
                 hw_app.add_tap(plan.tap_channel, plan.app_process,
                                arbiter.name, plan.tap_widths)
-                merged_plans.add(plan.checker.name)
+                merged_plans.add(plan.name)
 
     for plan in plans:
-        if plan.checker.name in merged_plans:
+        if plan.name in merged_plans:
             continue
-        hw_app.add_tap(plan.tap_channel, plan.app_process,
-                       plan.checker.name, plan.tap_widths)
-        hw_app.add_ir_process(plan.checker, daemon=True)
+        hw_app.add_tap(plan.tap_channel, plan.app_process, plan.name,
+                       plan.tap_widths)
+        hw_app.add_ir_process(plan.checker, name=plan.name, daemon=True)
         if plan.fail_mode == "stream":
-            stream_name = f"{plan.checker.name}_out"
-            hw_app.sink(stream_name, f"{plan.checker.name}.{CHECK_FAIL_PARAM}",
+            stream_name = f"{plan.name}_out"
+            hw_app.sink(stream_name, f"{plan.name}.{CHECK_FAIL_PARAM}",
                         role="assert_code")
             decode[stream_name] = FailStreamDecode(
                 mode="code", table={plan.code: (plan.app_process, plan.site)}

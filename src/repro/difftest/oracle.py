@@ -67,7 +67,7 @@ class Divergence:
     """First observable disagreement between two execution models."""
 
     # 'interp-vs-cyclemodel' | 'cyclemodel-vs-rtl' (plus the strict
-    # compiled leg 'cyclemodel-vs-compiled')
+    # compiled legs 'cyclemodel-vs-quiet' and 'cyclemodel-vs-compiled')
     phase: str
     kind: str   # 'stream-data' | 'stream-count' | 'cycle-count' | 'hang' | 'error'
     message: str
@@ -250,9 +250,11 @@ def run_difftest(
     :class:`repro.lab.cache.SynthesisCache` memoizing compilation.
 
     ``sim_backend="compiled"`` adds the :mod:`repro.simc` compiled cycle
-    model as a fourth leg, run in the same lockstep loop and compared
-    tick-for-tick against the interpreted cycle model (phase
-    ``cyclemodel-vs-compiled``). Either way the RTL side is the
+    model twice: in the lockstep loop, compared tick-for-tick against
+    the interpreted cycle model (phase ``cyclemodel-vs-compiled``); then
+    run as ``execute`` runs a lone process, its quiet steps and fused
+    quiet loops in bulk, and compared at the end (phase
+    ``cyclemodel-vs-quiet``). Either way the RTL side is the
     interpreted :class:`RtlSim`. The compiled leg is constructed in
     strict mode: a schedule the code generator cannot specialize is a
     harness error (RPR-Y008), not a silent fallback.
@@ -333,9 +335,59 @@ def run_difftest(
     # -- phase 2: cycle model vs RTL, in lockstep ---------------------------
     d = _lockstep(cp, reads, writes, stimulus, out_streams, max_cycles,
                   report, sim_backend=sim_backend)
+    if d is None and sim_backend == "compiled":
+        d = _quiet_leg(cp, reads, writes, stimulus, out_streams, max_cycles,
+                       pe, channels)
     report.divergence = d
 
     return report
+
+
+def _strict_exec(cp: CompiledProcess, channels: dict[str, Channel]):
+    """The compiled cycle model of ``cp``; a schedule the code generator
+    cannot specialize is a harness error, not a silent fallback."""
+    from repro import simc
+
+    try:
+        return simc.make_process_exec(cp.schedule, channels, strict=True)
+    except (SimCompileError, SimulationError) as exc:
+        raise DifftestError(
+            f"compiled backend rejected design: {exc}", code="RPR-Y008"
+        ) from exc
+
+
+def _quiet_leg(cp: CompiledProcess, reads, writes, stimulus, out_streams,
+               max_cycles: int, pe: ProcessExec,
+               channels: dict[str, Channel]) -> Divergence | None:
+    """Run the compiled cycle model as ``execute`` runs a lone process:
+    after each tick, every quiet step and fused quiet loop it reaches in
+    one ``run_quiet`` call (the lockstep leg ticks and never takes one).
+    Its output streams and cycle count must equal the interpreted cycle
+    model's, ``pe`` on ``channels`` from phase 1."""
+    ch = _fresh_channels(cp.hw_func, reads, writes, stimulus)
+    cpe = _strict_exec(cp, ch)
+    try:
+        while not cpe.done and cpe.cycles < max_cycles:
+            cpe.tick()
+            if not cpe.done:
+                cpe.run_quiet(max_cycles - cpe.cycles)
+    except SimulationError as exc:
+        return Divergence(phase="cyclemodel-vs-quiet", kind="error",
+                          message=f"compiled cycle model raised: {exc}",
+                          cycle=cpe.cycles)
+    got = {s: list(ch[s].queue) for s in out_streams}
+    want = {s: list(channels[s].queue) for s in out_streams}
+    if got != want or cpe.cycles != pe.cycles:
+        return Divergence(
+            phase="cyclemodel-vs-quiet", kind="backend",
+            message=f"compiled cycle model run in quiet stretches wrote "
+                    f"{sum(map(len, got.values()))} words in {cpe.cycles} "
+                    f"cycles, the interpreted one "
+                    f"{sum(map(len, want.values()))} in {pe.cycles} (or "
+                    "contents differ)",
+            values={"interp": pe.cycles, "compiled": cpe.cycles},
+            cycle=min(cpe.cycles, pe.cycles))
+    return None
 
 
 def _lockstep(cp: CompiledProcess, reads, writes, stimulus, out_streams,
@@ -357,15 +409,8 @@ def _lockstep(cp: CompiledProcess, reads, writes, stimulus, out_streams,
     cpe = None
     ch_ccm = None
     if sim_backend == "compiled":
-        from repro import simc
-
         ch_ccm = _fresh_channels(func, reads, writes, stimulus)
-        try:
-            cpe = simc.make_process_exec(cp.schedule, ch_ccm, strict=True)
-        except (SimCompileError, SimulationError) as exc:
-            raise DifftestError(
-                f"compiled backend rejected design: {exc}", code="RPR-Y008"
-            ) from exc
+        cpe = _strict_exec(cp, ch_ccm)
 
     labels = {sc.index: sc.label for sc in cp.rtl.states}
     checked = {s: 0 for s in out_streams}

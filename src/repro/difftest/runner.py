@@ -56,6 +56,7 @@ class DifftestSpec:
     reduce_checks: int = 300
     #: "interp" runs the classic three-way oracle; "compiled" adds the
     #: :mod:`repro.simc` compiled cycle model as a strict lockstep leg
+    #: and a quiet-stretch leg
     sim_backend: str = "interp"
 
     def seed_list(self) -> list[int]:

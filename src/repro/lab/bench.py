@@ -123,7 +123,7 @@ def _bench_synth_app(stages: int) -> list[dict]:
       and resubmit it, every artifact a hit (``synth_rebuild`` speedup =
       cold / rebuild). The frontend's share of a warm point shows here;
     * **relocate** — a cold build of the same pipeline with identical
-      stages: one process synthesized and relocated to the other
+      stages: one process synthesized and placed at the other
       ``stages - 1`` (``synth_relocate`` speedup = cold / relocate).
 
     Before any timing is recorded, the warm, edited, rebuilt and

@@ -96,9 +96,9 @@ __all__ = [
 #: message text)
 CACHE_SCHEMA = 2
 
-#: bump to invalidate process-level artifacts only (2: relocatable
-#: artifacts, keyed without the process name or error-code base)
-PROC_SCHEMA = 2
+#: bump to invalidate process-level artifacts only (2: relocatable, keyed
+#: without process name or code base; 3: plans name their checker)
+PROC_SCHEMA = 3
 
 #: a lease older than this is presumed wedged even if its owner pid is
 #: alive (e.g. the owner is stuck in an unrelated syscall) — waiters take

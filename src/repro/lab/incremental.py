@@ -12,12 +12,16 @@ Artifacts are *relocatable*: the key abstracts the process's name and
 source file and leaves out its error-code base, so every instance of one
 process (the 128 stages of the paper's Section 5.3 loopback, an unedited
 pipeline) shares one entry. A miss synthesizes the artifact at its
-process's own name with codes from 1 and stores it; a miss and a hit
-alike then pass through :func:`relocate`, which moves the artifact to the
-instance's name, file and code base. :func:`repro.core.synth.synthesize`
-keeps synthesizing every process at its real position, so "incremental =
-full" (pinned by ``tests/lab/test_incremental.py`` and
-``tests/lab/test_relocate.py``) is the proof that relocation is exact.
+process's own name with codes from 1 and stores it. A call reads each
+distinct key once and :func:`relocate` moves the artifact to its first
+instance; each further instance is *placed* on it, relocating only the
+metadata assembly reads and sharing its IR, so a sweep point's estimates
+copy no IR. :meth:`repro.runtime.hwexec.HardwareImage.materialize`
+relocates a private copy per placement before the image runs or emits
+RTL. :func:`repro.core.synth.synthesize` keeps synthesizing every process
+at its real position, so "incremental = full" (pinned by
+``tests/lab/test_incremental.py`` and ``tests/lab/test_relocate.py``) is
+the proof that relocation and placement are exact.
 
 Each cache miss is filled under a :class:`repro.lab.cache.FillLease`, so
 N workers or runs cold-starting the same point perform exactly one
@@ -28,6 +32,8 @@ entries.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import pickle
 
 from repro.core.instrument import FAIL_PARAM
 from repro.core.parallelize import CHECK_FAIL_PARAM
@@ -45,7 +51,7 @@ from repro.platform.device import EP2S180, DeviceModel
 from repro.runtime.hwexec import HardwareImage
 from repro.runtime.taskgraph import Application
 
-__all__ = ["relocate", "synthesize_incremental"]
+__all__ = ["materialize", "relocate", "synthesize_incremental"]
 
 
 def synthesize_incremental(
@@ -62,7 +68,8 @@ def synthesize_incremental(
     """Synthesize ``app`` reusing cached per-process artifacts.
 
     Returns ``(image, info)`` where ``image`` is identical to
-    ``synthesize(app, ...)`` and ``info`` reports the incremental work:
+    ``synthesize(app, ...)`` once materialized and ``info`` reports the
+    incremental work:
 
     * ``processes``    — FPGA process count;
     * ``proc_hits``    — artifacts reused from the cache (a repeated
@@ -73,16 +80,22 @@ def synthesize_incremental(
     * ``partial_rebuild`` — True when the call both reused and rebuilt
       (the edit-one-process case the whole seam exists for).
 
-    ``cache=None`` (or a disabled cache) degrades to a full resynthesis
-    with the same return shape.
+    An instance whose checker IR assembly reads (merging checkers, or
+    recompiling one that ``faults`` or ``configs`` names) is not placed
+    but copied at once. ``cache=None`` (or a disabled cache) degrades to
+    a full resynthesis with the same return shape.
     """
     options = options or SynthesisOptions()
     level = effective_level(assertions, options)
     cache = cache if cache is not None else SynthesisCache(None)
+    merges = options.multichecker and options.share
+    overridden = [*(faults or ()), *(configs or ())]
 
+    loaded: dict[str, ProcessArtifact] = {}
     artifacts: dict[str, ProcessArtifact] = {}
+    # (artifact, *at) of instances that share IR / that assembly reads
+    placements, private = [], []
     code_base = 1
-    hits = 0
     misses = 0
     for pd in app.fpga_processes():
         config = (configs or {}).get(pd.name)
@@ -91,28 +104,33 @@ def synthesize_incremental(
             pd.func.relocatable_text(), level, options, device=device,
             config=config or pd.config, fault_spec=fault_spec,
         )
-
-        def produce(pd=pd, config=config, fault_spec=fault_spec):
-            return synth_process(pd, level, options, 1,
-                                 config=config, fault_spec=fault_spec)
-
-        art, filled = cache.get_or_fill_process(key, produce, retry=retry)
-        if filled:
-            misses += 1
+        at = (pd.name, pd.func.name, pd.func.source_file, code_base)
+        art = loaded.get(key)
+        if art is None:
+            art, filled = cache.get_or_fill_process(key, functools.partial(
+                synth_process, pd, level, options, 1, config=config,
+                fault_spec=fault_spec), retry=retry)
+            misses += filled
+            artifacts[pd.name] = relocate(art, *at)
+            if cache.enabled:
+                loaded[key] = art
+        elif merges or any(o.startswith(f"{pd.name}__") for o in overridden):
+            private.append((art, *at))
         else:
-            hits += 1
-        artifacts[pd.name] = relocate(art, pd.name, pd.func.name,
-                                      pd.func.source_file, code_base)
+            placements.append((art, *at))
+            artifacts[pd.name] = relocate(art, *at, ir=False)
         code_base += art.n_codes
+    artifacts.update((art.name, art) for art in materialize(private))
 
     image = assemble_image(app, artifacts, level, options, nabort=nabort,
                            faults=faults, configs=configs)
+    image.placements = placements
     partial = 0 < misses < len(artifacts)
     if partial:
         cache.note_partial_rebuild()
     info = {
         "processes": len(artifacts),
-        "proc_hits": hits,
+        "proc_hits": len(artifacts) - misses,
         "proc_misses": misses,
         "resyntheses": misses,
         "partial_rebuild": partial,
@@ -120,8 +138,19 @@ def synthesize_incremental(
     return image, info
 
 
+def materialize(placements):
+    """For each placement ``(artifact, name, function, filename,
+    code_base)``, yield a private copy of the artifact relocated there;
+    each distinct artifact is pickled once and unpickled per placement."""
+    blobs: dict[int, bytes] = {}
+    for art, *at in placements:
+        if id(art) not in blobs:
+            blobs[id(art)] = pickle.dumps(art)
+        yield relocate(pickle.loads(blobs[id(art)]), *at)
+
+
 def relocate(art: ProcessArtifact, name: str, function: str, filename: str,
-             code_base: int) -> ProcessArtifact:
+             code_base: int, ir: bool = True) -> ProcessArtifact:
     """Move ``art`` to process ``name`` (C function ``function``, source
     file ``filename``) with its first error code at ``code_base``.
 
@@ -129,7 +158,9 @@ def relocate(art: ProcessArtifact, name: str, function: str, filename: str,
     function name, the source file or an error code, and returns ``art``;
     the result equals :func:`repro.core.synth.synth_process` run at that
     position. ``art`` must be the caller's own copy (a fresh synthesis or
-    a cache read). The rewrites are structural, never textual:
+    an unpickled one). ``ir=False`` instead returns a copy of ``art``
+    with only its metadata relocated, sharing its IR (a placement).
+    The rewrites are structural, never textual:
 
     * process-owned names -- ``{name}__afail``, the ``{name}__tap*``
       channels, the ``{name}__chk*`` checkers and their ``__fail`` taps,
@@ -148,6 +179,8 @@ def relocate(art: ProcessArtifact, name: str, function: str, filename: str,
     the lazily generated RTL is dropped to rebuild on demand. Objects the
     artifact shares (a site, a coord, a code constant) stay shared.
     """
+    if not ir:
+        art = dataclasses.replace(art)
     old_name, old_func = art.name, art.func.name
     old_file = art.func.source_file
     shift = code_base - art.codes[0][0] if art.codes else 0
@@ -221,25 +254,25 @@ def relocate(art: ProcessArtifact, name: str, function: str, filename: str,
                 instr(op.instr, code_stream)
         cp._rtl = None
 
-    func(art.func, function, FAIL_PARAM)
-    compiled(art.compiled, function, FAIL_PARAM)
-    for plan in art.plans:
-        func(plan.checker, owned(plan.checker.name), CHECK_FAIL_PARAM)
-        plan.tap_channel = owned(plan.tap_channel)
-        plan.fail_tap = owned(plan.fail_tap)
-        plan.app_process = name
-        plan.site = site(plan.site)
-        plan.code += shift
-    for cname, cp in art.compiled_checkers.items():
-        compiled(cp, owned(cname), CHECK_FAIL_PARAM)
+    if ir:
+        func(art.func, function, FAIL_PARAM)
+        compiled(art.compiled, function, FAIL_PARAM)
+        for plan in art.plans:
+            func(plan.checker, owned(plan.name), CHECK_FAIL_PARAM)
+        for cname, cp in art.compiled_checkers.items():
+            compiled(cp, owned(cname), CHECK_FAIL_PARAM)
+
+    art.plans = [dataclasses.replace(
+        p, name=owned(p.name), tap_channel=owned(p.tap_channel),
+        fail_tap=owned(p.fail_tap), app_process=name, site=site(p.site),
+        code=p.code + shift) for p in art.plans]
     art.compiled_checkers = {
         owned(cname): cp for cname, cp in art.compiled_checkers.items()}
     art.codes = [(c + shift, site(s)) for c, s in art.codes]
     art.fail_stream = owned(art.fail_stream)
-    for region in art.latency_regions:
-        region.process = name
-        region.start_channel = owned(region.start_channel)
-        region.end_channel = owned(region.end_channel)
-        region.site = site(region.site)
+    art.latency_regions = [dataclasses.replace(
+        r, process=name, start_channel=owned(r.start_channel),
+        end_channel=owned(r.end_channel), site=site(r.site))
+        for r in art.latency_regions]
     art.name = name
     return art

@@ -233,9 +233,13 @@ def estimate_image(
     """Estimate the full application: processes + channels + board glue."""
     total = ResourceReport()
     per_process = []
-    for cp in image.compiled.values():
-        pr = estimate_process(cp)
-        per_process.append(pr)
+    # placed instances share one compiled process: estimate it once
+    estimates: dict[int, ProcessResources] = {}
+    for name, cp in image.compiled.items():
+        pr = estimates.get(id(cp))
+        if pr is None:
+            pr = estimates[id(cp)] = estimate_process(cp)
+        per_process.append(ProcessResources(name, pr.report, pr.detail))
         total.add(pr.report)
 
     # channels: each stream gets a FIFO (the paper's +576-bit observation:

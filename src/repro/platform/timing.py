@@ -74,7 +74,8 @@ def _design_depth(image) -> tuple[int, bool, bool]:
     max_depth = 1
     bram_on_path = False
     dsp_on_path = False
-    for cp in image.compiled.values():
+    # placed instances share a compiled process: visit each one once
+    for cp in {id(cp): cp for cp in image.compiled.values()}.values():
         func = cp.hw_func
         for bname, bs in cp.schedule.blocks.items():
             block = func.blocks[bname]

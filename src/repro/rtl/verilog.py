@@ -198,4 +198,5 @@ def emit_module(module: R.Module) -> str:
 
 def emit_image(image) -> dict[str, str]:
     """Verilog for every compiled process of a hardware image."""
+    image.materialize()
     return {name: cp.verilog() for name, cp in image.compiled.items()}

@@ -104,6 +104,23 @@ class HardwareImage:
     #: simulation backend requested at synthesis time ("interp"/"compiled");
     #: execute() can still override per run
     sim_backend: str = "compiled"
+    #: ``(artifact, name, function, filename, code_base)`` per placement
+    placements: list = field(default_factory=list)
+
+    def materialize(self) -> None:
+        """Give each placed process instance and its checkers their own
+        relocated IR; running or emitting an image's IR needs it first."""
+        if not self.placements:
+            return
+        from repro.lab.incremental import materialize
+
+        for art in materialize(self.placements):
+            self.compiled[art.name] = art.compiled
+            self.app.processes[art.name].func = art.func
+            for plan in art.plans:
+                self.compiled[plan.name] = art.compiled_checkers[plan.name]
+                self.app.processes[plan.name].func = plan.checker
+        self.placements = []
 
     def decode_failure(self, stream: str, word: int) -> list[tuple[str, AssertionSite]]:
         decode = self.assert_decode.get(stream)
@@ -268,6 +285,7 @@ def execute(
     """
     cfg = watchdog or WatchdogConfig(max_cycles=max_cycles,
                                      idle_limit=idle_limit)
+    image.materialize()
     return _execute(image, cfg, _backend(image, sim_backend), faults)
 
 
@@ -287,6 +305,7 @@ def execute_batch(
     """
     cfg = watchdog or WatchdogConfig()
     backend = _backend(image, sim_backend)
+    image.materialize()
     return [_execute(image, cfg, backend, faults) for faults in lane_faults]
 
 

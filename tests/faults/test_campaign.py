@@ -177,15 +177,17 @@ def test_a_hung_cell_times_out_alone_across_workers(monkeypatch):
     ``batch_lanes`` cells, not a whole image group: with every cell in
     one group, a cell whose run hangs is killed as a timed-out harness
     error and the other cells of the group are still measured."""
+    import os
     import time
 
     import repro.faults.campaign as campaign
+    from tests.helpers import owned_hang
 
     real = campaign.execute
 
     def execute(image, watchdog=None, faults=()):
         if any(getattr(f, "target", None) == "hang" for f in faults):
-            time.sleep(30)
+            os.read(pipe, 1)  # the worker hangs until it is killed
             faults = ()
         return real(image, watchdog=watchdog, faults=faults)
 
@@ -198,9 +200,10 @@ def test_a_hung_cell_times_out_alone_across_workers(monkeypatch):
                     runtime_faults=(DropWord(target="hang", word_index=0),))
     scenarios = [good[0], hang, good[1]]
     t0 = time.monotonic()
-    result = run_campaign("loopback", levels=("optimized",),
-                          scenarios=scenarios, jobs=2, timeout=3.0)
-    assert time.monotonic() - t0 < 25
+    with owned_hang() as pipe:
+        result = run_campaign("loopback", levels=("optimized",),
+                              scenarios=scenarios, jobs=2, timeout=3.0)
+        assert time.monotonic() - t0 < 25
     first, hung, last = result.outcomes
     assert hung.classification == HARNESS_ERROR
     assert "RPR-E002" in {d["code"] for d in hung.diagnostics}

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import os
 import pathlib
+import threading
 
 from repro.frontend.lowering import lower_source
 from repro.hls.compiler import CompiledProcess, compile_process
@@ -11,6 +14,26 @@ from repro.hls.constraints import HLSConfig, ScheduleConfig
 from repro.hls.cyclemodel import Channel, ProcessExec
 from repro.ir.function import IRFunction
 from repro.ir.interp import run_to_completion
+
+
+@contextlib.contextmanager
+def owned_hang(release_after: float = 60.0):
+    """A hang the test owns, for timeout tests: yields the read end of a
+    pipe that nothing writes while the test body runs, so ``os.read`` on
+    it blocks until the blocked process is killed. Worker processes
+    forked inside the block inherit the pipe. Only a body still running
+    ``release_after`` seconds in gets the pipe written: a timeout that
+    never kills its worker then lets it return, and the test fails on
+    its assertions instead of hanging."""
+    r, w = os.pipe()
+    release = threading.Timer(release_after, os.write, (w, bytes(64)))
+    release.start()
+    try:
+        yield r
+    finally:
+        release.cancel()
+        os.close(r)
+        os.close(w)
 
 
 def lower_one(source: str, name: str | None = None,

@@ -91,53 +91,55 @@ def test_every_options_field_declares_a_key_scope():
 #: CACHE_SCHEMA 2, when the canonical IR text behind the app key began
 #: printing array contents and assertion message text. The process keys
 #: stopped hashing the process name and code base at PROC_SCHEMA 2 (so
-#: the loopback's four stages share one key per level). Refactors must
+#: the loopback's four stages share one key per level) and were
+#: re-recorded at PROC_SCHEMA 3, when checker plans began carrying their
+#: checker's process name. Refactors must
 #: not move them. A deliberate key change (the package version,
 #: CACHE_SCHEMA or PROC_SCHEMA) re-records them.
 PINNED_KEYS = {
     "loopback4/none/default": (
         "a95568379a3f1b54",
-        "p86bf5e7d78de9a09",
-        "p86bf5e7d78de9a09",
-        "p86bf5e7d78de9a09",
-        "p86bf5e7d78de9a09",
+        "p8c7eefc1c029e687",
+        "p8c7eefc1c029e687",
+        "p8c7eefc1c029e687",
+        "p8c7eefc1c029e687",
     ),
     "loopback4/unoptimized/default": (
         "b666e8a60dff3671",
-        "p1f2df4fc1e9cf0c8",
-        "p1f2df4fc1e9cf0c8",
-        "p1f2df4fc1e9cf0c8",
-        "p1f2df4fc1e9cf0c8",
+        "p5f5e59b7e6df7eb2",
+        "p5f5e59b7e6df7eb2",
+        "p5f5e59b7e6df7eb2",
+        "p5f5e59b7e6df7eb2",
     ),
     "loopback4/optimized/default": (
         "6197779b09b91476",
-        "pd98afec40c43f587",
-        "pd98afec40c43f587",
-        "pd98afec40c43f587",
-        "pd98afec40c43f587",
+        "pf9252b4aa9f4bcef",
+        "pf9252b4aa9f4bcef",
+        "pf9252b4aa9f4bcef",
+        "pf9252b4aa9f4bcef",
     ),
     "loopback4/optimized/noshare": (
         "46c221c3347e70c7",
-        "p74a5753afc3b564e",
-        "p74a5753afc3b564e",
-        "p74a5753afc3b564e",
-        "p74a5753afc3b564e",
+        "p89ba56b7ea1b121a",
+        "p89ba56b7ea1b121a",
+        "p89ba56b7ea1b121a",
+        "p89ba56b7ea1b121a",
     ),
     "tripledes/none/default": (
         "e9e76b076d7d98d2",
-        "p41ca7fe631b2a3a3",
+        "p67d454f39b0ee932",
     ),
     "tripledes/unoptimized/default": (
         "e13f842246cba41f",
-        "p6bedfd1729788579",
+        "pde4b34d30bf315ba",
     ),
     "tripledes/optimized/default": (
         "5cb75f4868bd7d76",
-        "p72ef034e86156177",
+        "p5b061b5ddccab6e0",
     ),
     "tripledes/optimized/noshare": (
         "51c91bc11be85fa5",
-        "pde830d2dbebbc2f8",
+        "p539bcf92c0761049",
     ),
 }
 

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.lab.executor import LabExecutor, PointOutcome
+from tests.helpers import owned_hang
 
 
 # -- module-level workers (must be picklable for the pool path) -----------
@@ -25,10 +26,11 @@ def hard_crash(x):
     return x
 
 
-def slow(x):
+def slow(args):
+    """Point 1 hangs on the test's pipe until its worker is killed."""
+    x, hang = args
     if x == 1:
-        import time
-        time.sleep(30)
+        os.read(hang, 1)
     return x
 
 
@@ -82,7 +84,8 @@ def test_hard_worker_crash_does_not_kill_the_sweep():
 
 def test_timeout_marks_point_not_sweep():
     ex = LabExecutor(jobs=2, timeout=1.0)
-    outcomes = ex.map(slow, [0, 1, 2])
+    with owned_hang() as hang:
+        outcomes = ex.map(slow, [(x, hang) for x in range(3)])
     statuses = [oc.status for oc in outcomes]
     assert statuses[1] == "timeout"
     assert "timed out" in outcomes[1].error
@@ -106,7 +109,8 @@ def test_single_item_runs_inline_even_with_jobs():
 def test_single_item_with_timeout_runs_in_the_pool():
     # only a worker process can be killed at its deadline
     ex = LabExecutor(jobs=2, timeout=1.0)
-    [outcome] = ex.map(slow, [1])
+    with owned_hang() as hang:
+        [outcome] = ex.map(slow, [(1, hang)])
     assert outcome.status == "timeout"
     assert ex.stats.timeouts == 1
 
@@ -134,35 +138,26 @@ def crash_once(args):
     return value * 10
 
 
-def sleep_forever(x):
-    if x == 1:
-        import time
-        time.sleep(600)
-    return x
-
-
 def write_pid_then_hang(args):
-    value, pid_file = args
+    value, pid_file, hang = args
     if value == 1:
         with open(pid_file, "w") as fh:
             fh.write(str(os.getpid()))
-        import time
-        time.sleep(600)
+        os.read(hang, 1)
     return value
 
 
 def straggle_once(args):
-    """Sleep only on the first execution of the marked item, so a retry
+    """Hang only on the first execution of the marked item, so a retry
     returns promptly."""
-    value, marker = args
+    value, marker, hang = args
     if value == 1:
         try:
             fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             os.close(fd)
         except FileExistsError:
             return value + 100   # second execution: fast
-        import time
-        time.sleep(600)
+        os.read(hang, 1)
     return value + 100
 
 
@@ -175,10 +170,11 @@ def test_timed_out_worker_is_hard_killed(tmp_path):
     pid_file = str(tmp_path / "stuck.pid")
     ex = LabExecutor(jobs=2, timeout=1.0)
     t0 = _time.monotonic()
-    outcomes = ex.map(write_pid_then_hang,
-                      [(0, pid_file), (1, pid_file), (2, pid_file)])
-    wall = _time.monotonic() - t0
-    # a blocking pool shutdown would wait out the full 600 s sleep
+    with owned_hang() as hang:
+        outcomes = ex.map(write_pid_then_hang,
+                          [(i, pid_file, hang) for i in range(3)])
+        wall = _time.monotonic() - t0
+    # a blocking pool shutdown would wait for the hang's 60 s release
     assert wall < 30
     assert [oc.status for oc in outcomes] == ["ok", "timeout", "ok"]
     codes = {d.get("code") for d in outcomes[1].diagnostics}
@@ -220,7 +216,9 @@ def test_timeout_retry_recovers_inline(tmp_path):
     marker = str(tmp_path / "slow.marker")
     policy = RetryPolicy(max_attempts=2, base_delay=0.01, breaker=None)
     ex = LabExecutor(jobs=2, timeout=2.0, retry=policy)
-    outcomes = ex.map(straggle_once, [(i, marker) for i in range(3)])
+    with owned_hang() as hang:
+        outcomes = ex.map(straggle_once,
+                          [(i, marker, hang) for i in range(3)])
     assert [oc.status for oc in outcomes] == ["ok"] * 3
     assert outcomes[1].attempts == 2
     assert ex.stats.timeouts == 1

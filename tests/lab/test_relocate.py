@@ -1,13 +1,14 @@
-"""Relocatable process artifacts: relocation is exact.
+"""Relocatable process artifacts: relocation and placement are exact.
 
-:func:`repro.lab.incremental.synthesize_incremental` synthesizes each
-distinct process once and relocates the artifact to every instance;
-:func:`repro.core.synth.synthesize` synthesizes every process at its real
-name and code base. Every image built from relocated artifacts must equal
-the full synthesis in everything a consumer reads: the IR of every
-process and checker, the simulator codegen key of every compiled process,
-the assertion decode tables, the journaled point summary and an executed
-run.
+:func:`repro.lab.incremental.synthesize_incremental` reads each distinct
+process once, relocates it to its first instance and places it at every
+further one; :func:`repro.core.synth.synthesize` synthesizes every
+process at its real name and code base. Every image built from relocated
+and placed artifacts must equal the full synthesis in everything a
+consumer reads: the journaled point summary of the image as assembled,
+and, once materialized, the IR of every process and checker, the
+simulator codegen key of every compiled process, the assertion decode
+tables, the Verilog and an executed run.
 """
 
 import functools
@@ -21,10 +22,13 @@ from repro.apps.loopback import build_loopback
 from repro.apps.pipeline import build_pipeline
 from repro.core.synth import LEVELS, effective_level, synth_process, synthesize
 from repro.faults.ir import ReadForWrite
+from repro.hls.constraints import HLSConfig, ScheduleConfig
 from repro.lab.cache import SynthesisCache, process_cache_key
 from repro.lab.incremental import relocate, synthesize_incremental
 from repro.lab.sweep import OPTION_VARIANTS
+from repro.platform import resources
 from repro.platform.report import point_summary
+from repro.rtl.verilog import emit_image
 from repro.runtime.hwexec import execute
 from repro.runtime.taskgraph import Application
 from repro.simc.bench import _hw_signature
@@ -37,8 +41,14 @@ APPS = {
 
 
 def signature(image) -> dict:
-    """Everything a consumer reads from an image, as comparable values."""
+    """Everything a consumer reads from an image, as comparable values:
+    the point summary of the image as assembled (a sweep point never
+    materializes), and the rest after :meth:`materialize` gives every
+    placed instance its own IR."""
+    summary = json.dumps(point_summary(image), sort_keys=True)
+    image.materialize()
     return {
+        "summary": summary,
         "ir": {name: str(pd.func)
                for name, pd in sorted(image.app.processes.items())
                if pd.func is not None},
@@ -50,7 +60,7 @@ def signature(image) -> dict:
             (stream, dec.mode, word, name, repr(site))
             for stream, dec in image.assert_decode.items()
             for word, (name, site) in dec.table.items()),
-        "summary": json.dumps(point_summary(image), sort_keys=True),
+        "verilog": emit_image(image),
         "run": _hw_signature(execute(image)),
     }
 
@@ -74,6 +84,29 @@ def test_relocated_image_equals_full_synthesis(app, level, variant,
     assert info["proc_hits"] == info["processes"] - info["resyntheses"]
     assert signature(image) == signature(
         synthesize(APPS[app](), level, options))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_a_cold_loopback_reads_its_one_process_once(tmp_path, level,
+                                                    monkeypatch):
+    """128 identical stages: one cache read and one process estimate per
+    distinct compiled object, while ``info`` still counts instances."""
+    cache = SynthesisCache(tmp_path)
+    image, info = synthesize_incremental(build_loopback(128), level,
+                                         cache=cache)
+    assert cache.stats.proc_hits + cache.stats.proc_misses == 1
+    assert (info["proc_hits"], info["proc_misses"]) == (127, 1)
+    assert len(image.placements) == 127
+
+    calls = []
+    real = resources.estimate_process
+    monkeypatch.setattr(resources, "estimate_process",
+                        lambda cp: calls.append(cp) or real(cp))
+    report = resources.estimate_image(image)
+    distinct = {id(cp) for cp in image.compiled.values()}
+    assert sorted(map(id, calls)) == sorted(distinct)
+    assert len(distinct) == (2 if level == "optimized" else 1)
+    assert len(report.processes) == len(image.compiled)
 
 
 class _CanonicalPickler(pickle._Pickler):
@@ -227,3 +260,24 @@ def test_faulted_instances_relocate_exactly(tmp_path, level):
     assert info["resyntheses"] == 2 and info["proc_hits"] == 1
     assert signature(image) == signature(
         synthesize(build_loopback(3), level, faults=faults))
+
+
+@pytest.mark.parametrize("variant", ["default", "noshare"])
+def test_an_overridden_checker_of_a_repeated_stage_is_exact(tmp_path,
+                                                            variant):
+    """Assembly recompiles a checker that ``configs`` names from the
+    checker's IR, so that stage gets its own copy up front; the stage
+    after it is placed as usual."""
+    options = OPTION_VARIANTS[variant]
+    checker = next(name for name in synthesize(build_loopback(3),
+                                               options=options).compiled
+                   if name.startswith("stage1__chk"))
+    configs = {checker: HLSConfig(schedule=ScheduleConfig(
+        max_chain_levels=1))}
+    image, info = synthesize_incremental(
+        build_loopback(3), options=options, cache=SynthesisCache(tmp_path),
+        configs=configs)
+    assert info["resyntheses"] == 1
+    assert [name for _art, name, *_ in image.placements] == ["stage2"]
+    assert signature(image) == signature(
+        synthesize(build_loopback(3), options=options, configs=configs))

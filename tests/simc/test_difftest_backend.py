@@ -3,9 +3,10 @@
 Two properties are pinned here:
 
 * ``--sim-backend=compiled`` adds the specialized cycle model as a
-  strict leg of the lockstep oracle — it must agree with the
-  interpreted cycle model on clean programs and seeds, and a bug in its
-  code generator shows up as a backend divergence;
+  strict leg of the lockstep oracle, and again run in quiet stretches
+  as ``execute`` runs it — it must agree with the interpreted cycle
+  model on clean programs and seeds, and a bug in its code generator
+  shows up as a backend divergence;
 * the lazy per-cycle register capture (itemgetter + ring buffer) must
   not change what divergences look like — same first-register
   localization as the eager scan, plus the new ``reg_window`` context.
@@ -108,3 +109,48 @@ def test_unknown_backend_is_a_harness_error():
 
     with pytest.raises(DifftestError):
         run_difftest(IDENTITY, [1], sim_backend="jit")
+
+
+LOOP = """
+void dt(co_stream input, co_stream output) {
+  uint32 x; uint32 i; uint32 acc;
+  while (co_stream_read(input, &x)) {
+    acc = x;
+    for (i = 0; i < 5; i++) { acc = acc * 3 + i; }
+    co_stream_write(output, acc);
+  }
+  co_stream_close(output);
+}
+"""
+
+
+def test_a_fused_quiet_loop_bug_is_caught_by_the_quiet_leg(monkeypatch):
+    """The lockstep leg ticks, so it never runs a fused quiet loop; the
+    quiet leg runs the compiled cycle model in quiet stretches and
+    catches a loop that miscounts its cycles."""
+    from repro import simc
+    from repro.simc import schedgen
+
+    assert run_difftest(LOOP, [1, 2], sim_backend="compiled").ok
+    real = schedgen._SchedCompiler.loop_fn
+    fused = []
+
+    def miscounting(self, em, *args):
+        start = len(em.lines)
+        nxt = real(self, em, *args)
+        fused.append(start < len(em.lines))
+        em.lines[start:] = [line.replace("return n - m, ",
+                                         "return n - m - 1, ")
+                            for line in em.lines[start:]]
+        return nxt
+
+    monkeypatch.delenv("REPRO_LAB_CACHE", raising=False)
+    monkeypatch.setattr(schedgen._SchedCompiler, "loop_fn", miscounting)
+    simc.clear_memo()
+    try:
+        r = run_difftest(LOOP, [1, 2], sim_backend="compiled")
+    finally:
+        simc.clear_memo()
+    assert any(fused)
+    assert (r.divergence.phase, r.divergence.kind) == \
+        ("cyclemodel-vs-quiet", "backend")
